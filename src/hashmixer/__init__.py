@@ -23,10 +23,9 @@ from .projection import (
     ProjectionConfig,
     build_cache,
     counting_feature,
-    project_sequence,
     token_fingerprint,
 )
-from .quantize import QuantTensor, dequantize, quantize_tensor, quantized_eval
+from .quantize import QuantTensor, dequantize, quantize_tensor
 from .training import (
     TrainConfig,
     adam_step,

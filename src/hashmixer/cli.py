@@ -19,19 +19,22 @@ and results go to stdout as JSON lines unless --quiet is given.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 
+import numpy as np
+
 from .config import PRESETS, RunConfig, build_run_config, save_run_config
-from .data import import_mtop, import_multiatis, load_jsonl
+from .data import LabelInventory, import_mtop, import_multiatis, load_jsonl
 from .errors import DataError
 from .hashing import HashFamily
 from .mixer import count_parameters, forward_batch, init_params
 from .model_io import load_model, save_features, save_model, save_quantized_model
-from .projection import SequenceFeaturizer, build_cache, load_cache, project_sequence, save_cache
+from .projection import FeatureMatrix, SequenceFeaturizer, build_cache, load_cache, save_cache
 from .quantize import quantize_params
-from .training import LabelInventory, encode_dataset, evaluate, train
+from .training import encode_dataset, evaluate, train
 from .vocab import load_vocab, pre_tokenize
 
 
@@ -61,21 +64,25 @@ def _config_from_args(args) -> RunConfig:
 
 
 def _load_vocab_and_cache(cfg: RunConfig):
+    """Load the vocabulary and the minhash cache file (``None`` when there is no file)."""
     if cfg.vocab_path is None:
         raise ValueError("config paths.vocab is required for this command")
     vocab = load_vocab(cfg.vocab_path)
-    cache = None
-    if cfg.projection.kind == "minhash":
-        if cfg.cache_path is not None and os.path.exists(cfg.cache_path):
-            cache = load_cache(cfg.cache_path, expected_vocab_size=len(vocab))
-            if cache.n_hashes != cfg.projection.n_hashes:
-                raise DataError(
-                    f"{cfg.cache_path} was built with {cache.n_hashes} hashes, "
-                    f"config expects {cfg.projection.n_hashes}"
-                )
-        else:
-            cache = build_cache(vocab, HashFamily(cfg.projection.n_hashes))
+    path = cfg.cache_path
+    if cfg.projection.kind != "minhash" or path is None or not os.path.exists(path):
+        return vocab, None
+    cache = load_cache(path, expected_vocab_size=len(vocab))
+    if cache.n_hashes != cfg.projection.n_hashes:
+        raise DataError(
+            f"{path} was built with {cache.n_hashes} hashes, "
+            f"config expects {cfg.projection.n_hashes}"
+        )
     return vocab, cache
+
+
+def _featurizer(cfg: RunConfig) -> SequenceFeaturizer:
+    vocab, cache = _load_vocab_and_cache(cfg)
+    return SequenceFeaturizer(vocab, cfg.projection, cache=cache)
 
 
 def _cmd_build_cache(args) -> int:
@@ -89,11 +96,11 @@ def _cmd_build_cache(args) -> int:
 
 def _cmd_project(args) -> int:
     cfg = _config_from_args(args)
-    vocab, cache = _load_vocab_and_cache(cfg)
+    featurizer = _featurizer(cfg)
     examples = load_jsonl(args.input)
-    matrices = [
-        project_sequence(ex.tokens, vocab, cache, cfg.projection) for ex in examples
-    ]
+    ids, valid = featurizer.encode([ex.tokens for ex in examples])
+    inputs = featurizer.materialize(ids, valid, dtype=np.float32)
+    matrices = [FeatureMatrix(data=x, valid_len=int(n)) for x, n in zip(inputs, valid)]
     save_features(args.output, matrices)
     _emit(args, {"features": args.output, "examples": len(matrices),
                  "rows": cfg.projection.input_rows,
@@ -138,30 +145,22 @@ def _cmd_train(args) -> int:
     save_model(model_path, result.params, result.model_cfg)
     with open(os.path.join(out_dir, "labels.json"), "w", encoding="utf-8") as fh:
         json.dump(list(result.inventory.labels), fh, ensure_ascii=False, indent=2)
-    echo = RunConfig(
-        projection=cfg.projection,
-        bottleneck=cfg.bottleneck,
-        hidden=cfg.hidden,
-        depth=cfg.depth,
-        head=cfg.head,
-        num_labels=result.model_cfg.num_labels,
-        train=cfg.train,
-        vocab_path=cfg.vocab_path,
-        cache_path=cfg.cache_path,
-        train_data=cfg.train_data,
-        val_data=cfg.val_data,
-        out_dir=out_dir,
-    )
+    echo = dataclasses.replace(cfg, num_labels=result.model_cfg.num_labels)
     save_run_config(echo, os.path.join(out_dir, "config.json"))
     _emit(args, {"model": model_path, "best_epoch": result.best_epoch,
                  "best_metric": result.best_metric})
     return 0
 
 
-def _labels_for_model(args, model_path: str) -> list[str]:
-    labels_path = getattr(args, "labels", None)
+def _load_for_inference(args, cfg: RunConfig):
+    """Load the model, its checked label inventory and the featurizer.
+
+    Returns ``(params, model_cfg, was_quantized, inventory, featurizer)``.
+    """
+    params, model_cfg, was_quantized = load_model(args.model)
+    labels_path = args.labels
     if labels_path is None:
-        labels_path = os.path.join(os.path.dirname(os.path.abspath(model_path)), "labels.json")
+        labels_path = os.path.join(os.path.dirname(os.path.abspath(args.model)), "labels.json")
     try:
         with open(labels_path, encoding="utf-8") as fh:
             labels = json.load(fh)
@@ -169,20 +168,17 @@ def _labels_for_model(args, model_path: str) -> list[str]:
         raise DataError(f"cannot read label inventory {labels_path}: {exc}") from exc
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise DataError(f"{labels_path}: expected a JSON array of label strings")
-    return labels
-
-
-def _cmd_eval(args) -> int:
-    cfg = _config_from_args(args)
-    params, model_cfg, was_quantized = load_model(args.model)
-    labels = _labels_for_model(args, args.model)
     if len(labels) != model_cfg.num_labels:
         raise DataError(
             f"label inventory has {len(labels)} entries, model expects {model_cfg.num_labels}"
         )
     inventory = LabelInventory(labels=tuple(labels), index={l: i for i, l in enumerate(labels)})
-    vocab, cache = _load_vocab_and_cache(cfg)
-    featurizer = SequenceFeaturizer(vocab, cfg.projection, cache=cache)
+    return params, model_cfg, was_quantized, inventory, _featurizer(cfg)
+
+
+def _cmd_eval(args) -> int:
+    cfg = _config_from_args(args)
+    params, model_cfg, was_quantized, inventory, featurizer = _load_for_inference(args, cfg)
     examples = load_jsonl(args.data)
     data = encode_dataset(examples, featurizer, inventory, model_cfg.head, strict=False)
     report = evaluate(data, featurizer, params, model_cfg, inventory,
@@ -207,12 +203,9 @@ def _cmd_quantize(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    cfg = _config_from_args(args)
-    params, model_cfg, _ = load_model(args.model)
-    labels = _labels_for_model(args, args.model)
-    inventory = LabelInventory(labels=tuple(labels), index={l: i for i, l in enumerate(labels)})
-    vocab, cache = _load_vocab_and_cache(cfg)
-    featurizer = SequenceFeaturizer(vocab, cfg.projection, cache=cache)
+    params, model_cfg, _, inventory, featurizer = _load_for_inference(
+        args, _config_from_args(args))
+    labels = inventory.labels
     tokens = pre_tokenize(args.text)
     if not tokens:
         raise ValueError("no tokens found in the input text")

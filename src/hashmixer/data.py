@@ -85,8 +85,11 @@ def load_jsonl(path: str) -> list[Example]:
             if not isinstance(obj, dict) or "tokens" not in obj:
                 raise DataError(f"{path}:{lineno}: expected an object with a 'tokens' key")
             tokens = obj["tokens"]
-            if not isinstance(tokens, list) or not all(isinstance(t, str) and t for t in tokens):
-                raise DataError(f"{path}:{lineno}: 'tokens' must be non-empty strings")
+            if not (isinstance(tokens, list) and tokens
+                    and all(isinstance(t, str) and t for t in tokens)):
+                raise DataError(
+                    f"{path}:{lineno}: 'tokens' must be a non-empty list of non-empty strings"
+                )
             try:
                 examples.append(
                     Example(

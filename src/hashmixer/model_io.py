@@ -141,7 +141,11 @@ def load_model(path: str) -> tuple[ModelParams, ModelConfig, bool]:
             any_quantized = True
             (scale,) = reader.unpack("<f")
             values = np.frombuffer(reader.take(count), dtype=np.int8).reshape(shape)
-            params[name] = dequantize(QuantTensor(values=values, scale=scale, shape=shape))
+            try:
+                q = QuantTensor(values=values, scale=scale, shape=shape)
+            except ValueError as exc:
+                raise ModelFileError(f"{path}: tensor {name}: {exc}") from exc
+            params[name] = dequantize(q)
         else:
             raise ModelFileError(f"{path}: unknown tensor type tag {type_tag}")
 

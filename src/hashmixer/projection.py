@@ -263,41 +263,21 @@ def token_feature(
     return simhash_feature(units, family, cfg.simhash_bits)
 
 
-def project_sequence(
-    tokens: list[str],
-    vocab: Vocabulary,
-    cache: FingerprintCache | None,
-    cfg: ProjectionConfig,
-) -> FeatureMatrix:
-    """Project a token sequence onto the model input matrix.
-
-    Column ``t`` stacks the features of tokens ``t-w .. t+w`` top to bottom,
-    substituting zero blocks where the neighbour index falls outside the
-    (truncated) sequence. Sequences longer than ``max_seq_len`` keep their
-    first ``max_seq_len`` tokens.
-    """
-    m = cfg.token_feature_len
-    s = cfg.max_seq_len
-    w = cfg.window
-    family = HashFamily(cfg.n_hashes)
-    kept = tokens[:s]
-    data = np.zeros(((2 * w + 1) * m, s), dtype=np.float64)
-    feats = [token_feature(tok, vocab, cfg, cache=cache, family=family) for tok in kept]
-    for t in range(len(kept)):
-        for j in range(2 * w + 1):
-            neighbour = t + j - w
-            if 0 <= neighbour < len(kept):
-                data[j * m : (j + 1) * m, t] = feats[neighbour]
-    return FeatureMatrix(data=data, valid_len=len(kept))
-
-
 class SequenceFeaturizer:
     """Batch featurizer that computes each distinct token's feature once.
 
-    Produces exactly the same matrices as :func:`project_sequence`; it exists
-    so training epochs do not re-tokenize and re-scatter unchanged examples.
-    Row 0 of the internal table is reserved as the zero (padding) feature.
+    Column ``t`` of an example's matrix stacks the :func:`token_feature` of
+    tokens ``t-w .. t+w`` top to bottom, substituting zero blocks where the
+    neighbour index falls outside the (truncated) sequence. Sequences longer
+    than ``max_seq_len`` keep their first ``max_seq_len`` tokens.
+
+    Token features live in one float32 table that grows by doubling; row 0
+    is reserved as the zero (padding) feature. Counting, bitmap and ternary
+    features are small integers, so float32 holds them exactly. Without a
+    cache, a minhash featurizer builds the vocabulary's fingerprints itself.
     """
+
+    _INITIAL_ROWS = 256
 
     def __init__(
         self,
@@ -311,19 +291,19 @@ class SequenceFeaturizer:
         if cache is None and cfg.kind == "minhash":
             cache = build_cache(vocab, self.family)
         self.cache = cache
-        self._rows: list[np.ndarray] = [np.zeros(cfg.token_feature_len, dtype=np.float64)]
+        self._table = np.zeros((self._INITIAL_ROWS, cfg.token_feature_len), dtype=np.float32)
         self._ids: dict[str, int] = {}
-        self._table: np.ndarray | None = None
 
     def _token_id(self, token: str) -> int:
         tid = self._ids.get(token)
         if tid is None:
-            tid = len(self._rows)
-            self._rows.append(
-                token_feature(token, self.vocab, self.cfg, cache=self.cache, family=self.family)
+            tid = len(self._ids) + 1
+            if tid == len(self._table):
+                self._table = np.concatenate([self._table, np.zeros_like(self._table)])
+            self._table[tid] = token_feature(
+                token, self.vocab, self.cfg, cache=self.cache, family=self.family
             )
             self._ids[token] = tid
-            self._table = None
         return tid
 
     def encode(self, examples_tokens: list[list[str]]) -> tuple[np.ndarray, np.ndarray]:
@@ -343,11 +323,9 @@ class SequenceFeaturizer:
     ) -> np.ndarray:
         """Assemble the (batch, rows, s) input tensor for encoded examples.
 
-        Counting/bitmap features are small integers, so float32 output is
-        exact and halves the memory traffic during training.
+        float32 output is exact and halves the memory traffic during
+        training; other dtypes upcast the table's rows on assignment.
         """
-        if self._table is None or self._table.dtype != np.dtype(dtype):
-            self._table = np.stack(self._rows).astype(dtype)
         table = self._table
         m = self.cfg.token_feature_len
         w = self.cfg.window

@@ -1,10 +1,10 @@
-"""Symmetric per-tensor 8-bit weight quantization and fake-quant evaluation.
+"""Symmetric per-tensor 8-bit weight quantization.
 
 Quantization maps a float tensor onto the grid ``k * scale`` for integer
 ``k in [-127, 127]`` with ``scale = max|w| / 127``, rounding half away from
 zero so every implementation lands on identical integers. Evaluation is
-"fake quant": weights are dequantized back to floats and the forward pass
-runs in floating point.
+"fake quant": the model loader dequantizes int8 tensors back to floats and
+the forward pass runs in floating point.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ class QuantTensor:
     shape: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.scale <= 0:
-            raise ValueError("quantization scale must be positive")
+        if not (np.isfinite(self.scale) and self.scale > 0):
+            raise ValueError(f"quantization scale must be finite and positive, got {self.scale}")
         if self.values.dtype != np.int8:
             raise ValueError("quantized values must be int8")
 
@@ -34,16 +34,20 @@ def _round_half_away(x: np.ndarray) -> np.ndarray:
 
 
 def quantize_tensor(w: np.ndarray) -> QuantTensor:
-    """Quantize one tensor; an all-zero tensor gets scale 1.0 by convention."""
+    """Quantize one tensor; an all-zero tensor gets scale 1.0 by convention.
+
+    So does a tensor whose scale would underflow to 0 as the float32 the
+    model container stores.
+    """
     w = np.asarray(w, dtype=np.float64)
     if not np.all(np.isfinite(w)):
         raise ValueError("cannot quantize a tensor with non-finite values")
     peak = float(np.abs(w).max()) if w.size else 0.0
-    if peak == 0.0:
+    scale = peak / 127.0
+    if np.float32(scale) == 0.0:
         return QuantTensor(
             values=np.zeros(w.shape, dtype=np.int8), scale=1.0, shape=w.shape
         )
-    scale = peak / 127.0
     values = np.clip(_round_half_away(w / scale), -127, 127).astype(np.int8)
     return QuantTensor(values=values, scale=scale, shape=w.shape)
 
@@ -54,33 +58,3 @@ def dequantize(q: QuantTensor) -> np.ndarray:
 
 def quantize_params(params: ModelParams) -> dict[str, QuantTensor]:
     return {name: quantize_tensor(p) for name, p in params.items()}
-
-
-def dequantize_params(qparams: dict[str, QuantTensor]) -> ModelParams:
-    return {name: dequantize(q) for name, q in qparams.items()}
-
-
-def quantized_eval(model_path, examples, vocab, proj_cfg, labels, batch_size=256) -> dict:
-    """Evaluate a model container on a dataset (fake quant for int8 tensors).
-
-    ``labels`` is the trained label inventory, in order. Works on float
-    containers too; the returned report carries a ``quantized`` flag.
-    """
-    # the container loader imports this module, hence the local imports
-    from .data import LabelInventory
-    from .model_io import load_model
-    from .projection import SequenceFeaturizer
-    from .training import encode_dataset, evaluate
-
-    params, model_cfg, was_quantized = load_model(model_path)
-    if len(labels) != model_cfg.num_labels:
-        raise ValueError(
-            f"label inventory has {len(labels)} entries, model expects {model_cfg.num_labels}"
-        )
-    inventory = LabelInventory(labels=tuple(labels),
-                               index={lab: i for i, lab in enumerate(labels)})
-    featurizer = SequenceFeaturizer(vocab, proj_cfg)
-    data = encode_dataset(examples, featurizer, inventory, model_cfg.head, strict=False)
-    report = evaluate(data, featurizer, params, model_cfg, inventory, batch_size=batch_size)
-    report["quantized"] = was_quantized
-    return report

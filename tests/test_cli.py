@@ -10,7 +10,7 @@ import pytest
 from hashmixer.cli import run
 from hashmixer.data import synth_dataset
 from hashmixer.model_io import load_features
-from hashmixer.projection import ProjectionConfig, build_cache, load_cache, project_sequence
+from hashmixer.projection import ProjectionConfig, build_cache, load_cache, token_feature
 from hashmixer.vocab import load_vocab
 
 
@@ -147,9 +147,24 @@ class TestTrainEvalPredictQuantize:
         cache = build_cache(vocab, HashFamily(32))
         with open(workspace["paths"]["val"], encoding="utf-8") as fh:
             first_tokens = json.loads(fh.readline())["tokens"]
-        ref = project_sequence(first_tokens, vocab, cache, cfg)
-        assert dumped[0].valid_len == ref.valid_len
-        assert np.allclose(dumped[0].data, ref.data, atol=1e-6)
+        kept = first_tokens[: cfg.max_seq_len]
+        ref = np.zeros((cfg.input_rows, cfg.max_seq_len))
+        for t, tok in enumerate(kept):  # window 0: column t is token t's feature
+            ref[:, t] = token_feature(tok, vocab, cfg, cache=cache)
+        assert dumped[0].valid_len == len(kept)
+        assert np.allclose(dumped[0].data, ref, atol=1e-6)
+
+    def test_predict_rejects_mismatched_labels(self, trained, workspace, tmp_path, capsys):
+        model = os.path.join(trained, "model.bin")
+        with open(os.path.join(trained, "labels.json"), encoding="utf-8") as fh:
+            labels = json.load(fh)
+        for wrong in (labels[:-1], labels + ["EXTRA"]):
+            path = tmp_path / "labels.json"
+            path.write_text(json.dumps(wrong), encoding="utf-8")
+            code = run(["predict", "--model", model, "--config", workspace["config"],
+                        "--labels", str(path), "--text", "a b", "--quiet"])
+            assert code == 2
+            assert "inventory" in capsys.readouterr().err
 
 
 class TestImporters:
@@ -198,6 +213,19 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"projection": {"kind": "sketchy"}}), encoding="utf-8")
         assert run(["params", "--config", str(bad)]) == 1
+
+    def test_empty_utterance_is_data_error(self, trained, workspace, tmp_path):
+        data = tmp_path / "empty.jsonl"
+        data.write_text('{"tokens": ["a"], "slots": ["O"]}\n{"tokens": [], "slots": []}\n',
+                        encoding="utf-8")
+        assert run(["eval", "--model", os.path.join(trained, "model.bin"),
+                    "--data", str(data), "--config", workspace["config"], "--quiet"]) == 2
+        config = json.load(open(workspace["config"], encoding="utf-8"))
+        config["paths"]["val_data"] = str(data)
+        config["paths"]["out_dir"] = str(tmp_path / "run")
+        bad = tmp_path / "empty-val.json"
+        bad.write_text(json.dumps(config), encoding="utf-8")
+        assert run(["train", "--config", str(bad), "--quiet"]) == 2
 
     def test_cache_hash_count_mismatch_is_data_error(self, workspace, tmp_path):
         cache_path = str(tmp_path / "c8.bin")

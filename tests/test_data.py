@@ -52,6 +52,13 @@ class TestJsonl:
         with pytest.raises(DataError, match=":2:"):
             load_jsonl(str(path))
 
+    def test_empty_token_list_rejected(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"tokens":["a"],"slots":["O"]}\n{"tokens":[],"slots":[]}\n',
+                        encoding="utf-8")
+        with pytest.raises(DataError, match=":2:"):
+            load_jsonl(str(path))
+
     def test_invalid_json_line(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text('{"tokens":["a"],"slots":["O"]}\nnot json\n', encoding="utf-8")

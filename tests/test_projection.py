@@ -13,7 +13,6 @@ from hashmixer.projection import (
     build_cache,
     counting_feature,
     load_cache,
-    project_sequence,
     save_cache,
     simhash_feature,
     token_feature,
@@ -232,7 +231,29 @@ class TestSimhashFeature:
         assert simhash_feature([SubwordUnit("abc", False)], family64, 24).shape == (24,)
 
 
+def _featurize(tokens, vocab, cache, cfg):
+    """One sequence through a fresh featurizer: its matrix and valid length."""
+    featurizer = SequenceFeaturizer(vocab, cfg, cache=cache)
+    ids, valid = featurizer.encode([tokens])
+    return featurizer.materialize(ids, valid)[0], int(valid[0])
+
+
+def _stacked(tokens, vocab, cache, cfg):
+    """Reference matrix: per-token ``token_feature`` blocks stacked by hand."""
+    m, s, w = cfg.token_feature_len, cfg.max_seq_len, cfg.window
+    kept = tokens[:s]
+    feats = [token_feature(tok, vocab, cfg, cache=cache) for tok in kept]
+    data = np.zeros(((2 * w + 1) * m, s))
+    for t in range(len(kept)):
+        for j in range(2 * w + 1):
+            if 0 <= t + j - w < len(kept):
+                data[j * m : (j + 1) * m, t] = feats[t + j - w]
+    return data
+
+
 class TestProjectSequence:
+    """A token sequence projected onto the model input by ``SequenceFeaturizer``."""
+
     @pytest.fixture()
     def setup(self, tiny_vocab, family64):
         cache = build_cache(tiny_vocab, family64)
@@ -242,57 +263,58 @@ class TestProjectSequence:
     def test_window_stacking_and_boundaries(self, setup):
         vocab, cache, cfg = setup
         tokens = ["Bring", "it", "the"]
-        fm = project_sequence(tokens, vocab, cache, cfg)
+        data, _ = _featurize(tokens, vocab, cache, cfg)
         feats = [token_feature(t, vocab, cfg, cache=cache) for t in tokens]
         m = cfg.feature_size
         col1 = np.concatenate([feats[0], feats[1], feats[2]])
-        assert np.array_equal(fm.data[:, 1], col1)
+        assert np.array_equal(data[:, 1], col1)
         col0 = np.concatenate([np.zeros(m), feats[0], feats[1]])
-        assert np.array_equal(fm.data[:, 0], col0)
+        assert np.array_equal(data[:, 0], col0)
         col2 = np.concatenate([feats[1], feats[2], np.zeros(m)])
-        assert np.array_equal(fm.data[:, 2], col2)
+        assert np.array_equal(data[:, 2], col2)
 
     def test_zero_window_rows(self, tiny_vocab, family64):
         cache = build_cache(tiny_vocab, family64)
         cfg = ProjectionConfig(feature_size=8, window=0, max_seq_len=4)
-        fm = project_sequence(["the", "it"], tiny_vocab, cache, cfg)
-        assert fm.data.shape == (8, 4)
-        assert np.array_equal(fm.data[:, 0], token_feature("the", tiny_vocab, cfg, cache=cache))
+        data, _ = _featurize(["the", "it"], tiny_vocab, cache, cfg)
+        assert data.shape == (8, 4)
+        assert np.array_equal(data[:, 0], token_feature("the", tiny_vocab, cfg, cache=cache))
 
     def test_paper_scale_shape(self, tiny_vocab, family64):
         cache = build_cache(tiny_vocab, family64)
         cfg = ProjectionConfig(feature_size=1024, window=1, max_seq_len=64)
-        fm = project_sequence(["the"], tiny_vocab, cache, cfg)
-        assert fm.data.shape == (3072, 64)
+        data, _ = _featurize(["the"], tiny_vocab, cache, cfg)
+        assert data.shape == (3072, 64)
 
     def test_empty_sequence(self, setup):
         vocab, cache, cfg = setup
-        fm = project_sequence([], vocab, cache, cfg)
-        assert fm.valid_len == 0
-        assert not fm.data.any()
+        data, valid_len = _featurize([], vocab, cache, cfg)
+        assert valid_len == 0
+        assert not data.any()
 
     def test_truncation_keeps_first_s(self, setup):
         vocab, cache, cfg = setup
         tokens = ["the", "it", "at", "a", "b", "Bring", "Bring"]
-        fm = project_sequence(tokens, vocab, cache, cfg)
-        short = project_sequence(tokens[:5], vocab, cache, cfg)
-        assert fm.valid_len == 5
-        assert np.array_equal(fm.data, short.data)
+        data, valid_len = _featurize(tokens, vocab, cache, cfg)
+        short, _ = _featurize(tokens[:5], vocab, cache, cfg)
+        assert valid_len == 5
+        assert np.array_equal(data, short)
+        assert np.array_equal(data, _stacked(tokens, vocab, cache, cfg))
 
     def test_pad_purity_all_kinds(self, tiny_vocab, family64):
         cache = build_cache(tiny_vocab, family64)
         for kind in ("minhash", "binary", "tsp", "simhash"):
             cfg = ProjectionConfig(kind=kind, feature_size=16, window=1,
                                    max_seq_len=6, simhash_bits=16)
-            fm = project_sequence(["the", "it"], tiny_vocab, cache, cfg)
-            assert fm.valid_len == 2
-            assert not fm.data[:, 2:].any(), kind
+            data, valid_len = _featurize(["the", "it"], tiny_vocab, cache, cfg)
+            assert valid_len == 2
+            assert not data[:, 2:].any(), kind
 
     def test_window_locality(self, setup):
         vocab, cache, cfg = setup
-        base = project_sequence(["the", "it", "at", "a", "b"], vocab, cache, cfg)
-        changed = project_sequence(["the", "it", "Bring", "a", "b"], vocab, cache, cfg)
-        diff_cols = np.nonzero(np.any(base.data != changed.data, axis=0))[0]
+        base, _ = _featurize(["the", "it", "at", "a", "b"], vocab, cache, cfg)
+        changed, _ = _featurize(["the", "it", "Bring", "a", "b"], vocab, cache, cfg)
+        diff_cols = np.nonzero(np.any(base != changed, axis=0))[0]
         assert set(diff_cols) <= {1, 2, 3}
 
     def test_featurizer_matches_reference(self, tiny_vocab, family64):
@@ -305,14 +327,39 @@ class TestProjectSequence:
             ids, valid = featurizer.encode(seqs)
             batch = featurizer.materialize(ids, valid)
             for row, tokens in enumerate(seqs):
-                ref = project_sequence(tokens, tiny_vocab, cache, cfg)
-                assert np.array_equal(batch[row], ref.data), (kind, row)
-                assert valid[row] == ref.valid_len
+                assert np.array_equal(batch[row], _stacked(tokens, tiny_vocab, cache, cfg)), \
+                    (kind, row)
+                assert valid[row] == min(len(tokens), cfg.max_seq_len)
+
+    def test_table_growth_interleaved_with_materialize(self, tiny_vocab, family64):
+        cache = build_cache(tiny_vocab, family64)
+        cfg = ProjectionConfig(feature_size=16, window=1, max_seq_len=4)
+        featurizer = SequenceFeaturizer(tiny_vocab, cfg, cache=cache)
+        # distinct made-up words split into known units, well past the first capacity
+        pieces = ["the", "it", "at", "a", "b", "Bring"]
+        conts = ["##ing", "##t", "##ring"]
+        words = [p + c[2:] * k for p in pieces for c in conts for k in range(1, 40)]
+        assert len(set(words)) > 2 * SequenceFeaturizer._INITIAL_ROWS
+        seqs = [words[i : i + 3] for i in range(0, len(words), 3)]
+        for step, lo in enumerate(range(0, len(seqs), 17)):
+            chunk = seqs[lo : lo + 17]
+            ids, valid = featurizer.encode(chunk)
+            dtype = (np.float32, np.float64)[step % 2]
+            batch = featurizer.materialize(ids, valid, dtype=dtype)
+            assert batch.dtype == dtype
+            for row, tokens in enumerate(chunk):
+                assert np.array_equal(batch[row], _stacked(tokens, tiny_vocab, cache, cfg))
+        # rows written before the table grew are still intact
+        ids, valid = featurizer.encode(seqs[:2])
+        for dtype in (np.float32, np.float64):
+            batch = featurizer.materialize(ids, valid, dtype=dtype)
+            for row, tokens in enumerate(seqs[:2]):
+                assert np.array_equal(batch[row], _stacked(tokens, tiny_vocab, cache, cfg))
 
     def test_unknown_words_use_unk_row(self, setup):
         vocab, cache, cfg = setup
-        fm = project_sequence(["zzz"], vocab, cache, cfg)
+        data, valid_len = _featurize(["zzz"], vocab, cache, cfg)
         unk = token_feature("zzz", vocab, cfg, cache=cache)
         m = cfg.feature_size
-        assert np.array_equal(fm.data[m : 2 * m, 0], unk)
-        assert fm.valid_len == 1
+        assert np.array_equal(data[m : 2 * m, 0], unk)
+        assert valid_len == 1

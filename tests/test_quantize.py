@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as stnp
 
@@ -37,6 +37,8 @@ class TestQuantizeTensor:
             quantize_tensor(np.array([np.inf]))
 
     @given(finite_tensors)
+    @example(np.array([5e-324]))
+    @example(np.array([1e-44]))
     @settings(max_examples=150)
     def test_dequantization_error_bounded_by_half_scale(self, w):
         q = quantize_tensor(w)
@@ -44,6 +46,8 @@ class TestQuantizeTensor:
         assert err <= q.scale / 2 + 1e-12
 
     @given(finite_tensors)
+    @example(np.array([5e-324]))
+    @example(np.array([1e-44]))
     @settings(max_examples=150)
     def test_idempotence(self, w):
         q = quantize_tensor(w)
@@ -60,8 +64,9 @@ class TestQuantizeTensor:
         assert np.array_equal(dequantize(q), w)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            QuantTensor(values=np.zeros(3, dtype=np.int8), scale=0.0, shape=(3,))
+        for scale in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                QuantTensor(values=np.zeros(3, dtype=np.int8), scale=scale, shape=(3,))
         with pytest.raises(ValueError):
             QuantTensor(values=np.zeros(3, dtype=np.int16), scale=1.0, shape=(3,))
 
@@ -74,40 +79,106 @@ def test_quantize_params_preserves_names_and_shapes(rng):
     assert qp["a.bias"].scale == 1.0
 
 
+def _tiny_model_cfg():
+    from hashmixer.mixer import ModelConfig
+
+    return ModelConfig(input_rows=32, seq_len=4, bottleneck=8, hidden=8,
+                       depth=1, head="token", num_labels=2)
+
+
+def test_underflowing_scale_follows_zero_convention():
+    q = quantize_tensor(np.array([1e-44, -5e-45]))
+    assert q.scale == 1.0
+    assert not q.values.any()
+    # the smallest scale float32 still holds keeps its integers
+    q = quantize_tensor(np.array([127 * 1.5e-45]))
+    assert q.values.tolist() == [127]
+    assert np.float32(q.scale) > 0
+
+
+def test_tiny_tensor_survives_save_load(tmp_path):
+    from hashmixer.mixer import init_params
+    from hashmixer.model_io import load_model, save_quantized_model
+
+    cfg = _tiny_model_cfg()
+    params = init_params(cfg, seed=1)
+    name = next(iter(params))
+    params[name] = np.full(params[name].shape, 1e-44)
+    path = str(tmp_path / "tiny.q.bin")
+    save_quantized_model(path, quantize_params(params), cfg)
+    loaded, _, was_quantized = load_model(path)
+    assert was_quantized
+    assert not loaded[name].any()
+
+
 class TestQuantizedEval:
+    """``hashmixer eval`` on a float and an int8 container of one model."""
+
     @pytest.fixture()
     def setup(self, tmp_path):
-        from hashmixer.data import Example
-        from hashmixer.mixer import ModelConfig, init_params
-        from hashmixer.model_io import save_model, save_quantized_model
-        from hashmixer.projection import ProjectionConfig
-        from hashmixer.quantize import quantize_params, quantized_eval
-        from hashmixer.vocab import Vocabulary
+        import json
 
-        vocab = Vocabulary.from_units(["[UNK]", "go", "stop", "now"])
-        proj = ProjectionConfig(kind="minhash", n_hashes=8, feature_size=32,
-                                window=0, max_seq_len=4)
-        cfg = ModelConfig(input_rows=32, seq_len=4, bottleneck=8, hidden=8,
-                          depth=1, head="token", num_labels=2)
+        from hashmixer.data import Example, save_jsonl
+        from hashmixer.mixer import init_params
+        from hashmixer.model_io import save_model, save_quantized_model
+        from hashmixer.vocab import save_vocab
+
+        vocab_path = str(tmp_path / "vocab.txt")
+        save_vocab(["[UNK]", "go", "stop", "now"], vocab_path)
+        config_path = str(tmp_path / "run.json")
+        with open(config_path, "w", encoding="utf-8") as fh:
+            json.dump({"projection": {"kind": "minhash", "n_hashes": 8, "feature_size": 32,
+                                      "window": 0, "max_seq_len": 4},
+                       "paths": {"vocab": vocab_path}}, fh)
+        cfg = _tiny_model_cfg()
         params = init_params(cfg, seed=1)
         float_path = str(tmp_path / "m.bin")
         quant_path = str(tmp_path / "m.q.bin")
         save_model(float_path, params, cfg)
         save_quantized_model(quant_path, quantize_params(params), cfg)
-        examples = [Example(tokens=["go", "now"], slot_labels=["A", "B"]),
-                    Example(tokens=["stop"], slot_labels=["B"])]
-        return quantized_eval, float_path, quant_path, examples, vocab, proj
+        data_path = str(tmp_path / "val.jsonl")
+        save_jsonl([Example(tokens=["go", "now"], slot_labels=["A", "B"]),
+                    Example(tokens=["stop"], slot_labels=["B"])], data_path)
+        (tmp_path / "labels.json").write_text('["A", "B"]', encoding="utf-8")
+        return float_path, quant_path, data_path, config_path
 
-    def test_reports_metric_and_flag(self, setup):
-        quantized_eval, float_path, quant_path, examples, vocab, proj = setup
-        float_report = quantized_eval(float_path, examples, vocab, proj, ["A", "B"])
-        quant_report = quantized_eval(quant_path, examples, vocab, proj, ["A", "B"])
+    @staticmethod
+    def _eval(model, data, config, *extra):
+        from hashmixer.cli import run
+
+        return run(["eval", "--model", model, "--data", data, "--config", config, *extra])
+
+    def test_reports_metric_and_flag(self, setup, capsys):
+        import json
+
+        float_path, quant_path, data_path, config_path = setup
+        assert self._eval(float_path, data_path, config_path) == 0
+        float_report = json.loads(capsys.readouterr().out)
+        assert self._eval(quant_path, data_path, config_path) == 0
+        quant_report = json.loads(capsys.readouterr().out)
         assert float_report["quantized"] is False
         assert quant_report["quantized"] is True
         assert quant_report["metric"] == "exact_match"
         assert 0.0 <= quant_report["value"] <= 1.0
 
-    def test_label_count_mismatch_rejected(self, setup):
-        quantized_eval, float_path, _, examples, vocab, proj = setup
-        with pytest.raises(ValueError, match="inventory"):
-            quantized_eval(float_path, examples, vocab, proj, ["A", "B", "C"])
+    def test_label_count_mismatch_rejected(self, setup, tmp_path, capsys):
+        float_path, _, data_path, config_path = setup
+        labels = tmp_path / "three.json"
+        labels.write_text('["A", "B", "C"]', encoding="utf-8")
+        assert self._eval(float_path, data_path, config_path, "--labels", str(labels)) == 2
+        assert "inventory" in capsys.readouterr().err
+
+    def test_nan_scale_file_is_model_error(self, setup, capsys):
+        import struct
+
+        from hashmixer.mixer import param_shapes
+
+        _, quant_path, data_path, config_path = setup
+        name, shape = next(iter(param_shapes(_tiny_model_cfg()).items()))
+        # magic, header, then the first tensor's name, type, rank and dims
+        offset = 8 + struct.calcsize("<IIIIIIBII") + 2 + len(name.encode()) + 2 + 4 * len(shape)
+        with open(quant_path, "r+b") as fh:
+            fh.seek(offset)
+            fh.write(struct.pack("<f", float("nan")))
+        assert self._eval(quant_path, data_path, config_path) == 2
+        assert "scale" in capsys.readouterr().err
