@@ -27,14 +27,14 @@ import sys
 import numpy as np
 
 from .config import PRESETS, RunConfig, build_run_config, save_run_config
-from .data import LabelInventory, import_mtop, import_multiatis, load_jsonl
+from .data import Example, LabelInventory, import_mtop, import_multiatis, load_jsonl
 from .errors import DataError
 from .hashing import HashFamily
-from .mixer import count_parameters, forward_batch, init_params
+from .mixer import count_parameters, init_params
 from .model_io import load_model, save_features, save_model, save_quantized_model
 from .projection import FeatureMatrix, SequenceFeaturizer, build_cache, load_cache, save_cache
 from .quantize import quantize_params
-from .training import encode_dataset, evaluate, train
+from .training import encode_dataset, evaluate, predict_batches, train
 from .vocab import load_vocab, pre_tokenize
 
 
@@ -99,10 +99,18 @@ def _cmd_project(args) -> int:
     featurizer = _featurizer(cfg)
     examples = load_jsonl(args.input)
     ids, valid = featurizer.encode([ex.tokens for ex in examples])
-    inputs = featurizer.materialize(ids, valid, dtype=np.float32)
-    matrices = [FeatureMatrix(data=x, valid_len=int(n)) for x, n in zip(inputs, valid)]
-    save_features(args.output, matrices)
-    _emit(args, {"features": args.output, "examples": len(matrices),
+    chunk = cfg.train.batch_size
+
+    def matrices():
+        # one chunk of dense matrices at a time keeps memory flat in the corpus size
+        for lo in range(0, len(examples), chunk):
+            sel = slice(lo, lo + chunk)
+            inputs = featurizer.materialize(ids[sel], valid[sel], dtype=np.float32)
+            yield from (FeatureMatrix(data=x, valid_len=int(n)) for x, n in zip(inputs, valid[sel]))
+            del inputs  # freed before the next chunk is built
+
+    save_features(args.output, matrices(), count=len(examples))
+    _emit(args, {"features": args.output, "examples": len(examples),
                  "rows": cfg.projection.input_rows,
                  "cols": cfg.projection.max_seq_len})
     return 0
@@ -209,15 +217,14 @@ def _cmd_predict(args) -> int:
     tokens = pre_tokenize(args.text)
     if not tokens:
         raise ValueError("no tokens found in the input text")
-    ids, valid = featurizer.encode([tokens])
-    inputs = featurizer.materialize(ids, valid)
-    logits, _ = forward_batch(inputs, valid, params, model_cfg)
+    # encode_dataset needs gold labels; these placeholders are never read
+    example = Example(tokens=tokens, slot_labels=[labels[0]] * len(tokens), class_label=labels[0])
+    data = encode_dataset([example], featurizer, inventory, model_cfg.head, strict=False)
+    pred = predict_batches(data, featurizer, params, model_cfg)[0]
     if model_cfg.head == "token":
-        pred = logits[0].argmax(axis=0)[: valid[0]]
-        payload = {"tokens": tokens[: int(valid[0])],
-                   "labels": [labels[int(i)] for i in pred]}
+        payload = {"tokens": tokens[: len(pred)], "labels": [labels[int(i)] for i in pred]}
     else:
-        payload = {"label": labels[int(logits[0].argmax())]}
+        payload = {"label": labels[int(pred)]}
     print(json.dumps(payload, ensure_ascii=False))
     return 0
 

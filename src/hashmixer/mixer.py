@@ -7,6 +7,14 @@ transposition) and one across channels, both pre-normalized and GELU
 activated. A token head emits per-position logits; a pooled head attends over
 valid positions with a learned query and classifies the pooled vector.
 
+The input comes in two forms. Training and inference pass
+:class:`~hashmixer.projection.TokenWindows`, the token-table row of every
+window slot: the bottleneck projects each distinct row of the batch once per
+slot and gathers the results per position, and its weight gradient
+segment-sums the upstream gradient per distinct row, so ``C`` is never built.
+A dense ``(batch, rows, s)`` tensor is the reference form, and only it has an
+input gradient. Everything after the bottleneck is shared.
+
 Parameters and their gradients are flat ``{name: ndarray}`` dicts so the
 optimizer, serializer and quantizer can treat them uniformly. The math
 follows the dtype of the parameters and inputs (float64 for gradient
@@ -23,7 +31,7 @@ import numpy as np
 from scipy.special import erf
 
 from .hashing import splitmix64_array
-from .projection import FeatureMatrix
+from .projection import FeatureMatrix, TokenWindows
 
 LN_EPS = 1e-6
 
@@ -186,9 +194,14 @@ class _LayerCache:
 
 @dataclass
 class ActivationRecord:
-    """Everything the backward pass needs, cached during forward."""
+    """Everything the backward pass needs, cached during forward.
 
-    inputs: np.ndarray
+    ``inputs`` is the dense input tensor, or for token input the pair
+    ``(rows, inverse)``: the batch's distinct table rows and, per window
+    slot, each position's index into them.
+    """
+
+    inputs: np.ndarray | tuple[np.ndarray, np.ndarray]
     valid_lens: np.ndarray
     bottleneck_out: np.ndarray
     mixer_out: np.ndarray
@@ -197,18 +210,76 @@ class ActivationRecord:
     pooled: np.ndarray | None = None
 
 
-def forward_batch(
-    inputs: np.ndarray, valid_lens: np.ndarray, params: ModelParams, cfg: ModelConfig
-) -> tuple[np.ndarray, ActivationRecord]:
-    """Run the network on a (batch, input_rows, seq_len) tensor."""
-    if inputs.ndim != 3 or inputs.shape[1:] != (cfg.input_rows, cfg.seq_len):
+def _token_bottleneck(
+    windows: TokenWindows, params: ModelParams, cfg: ModelConfig
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """``W @ C + bias`` from token-table rows, projecting each distinct row once."""
+    n, slots, s = windows.ids.shape
+    m = windows.table.shape[1]
+    if slots * m != cfg.input_rows or s != cfg.seq_len:
         raise ValueError(
-            f"input shape {inputs.shape} does not match "
+            f"token windows of {slots} slots x {m} features x {s} positions do not match "
             f"(batch, {cfg.input_rows}, {cfg.seq_len})"
         )
-    x = params["bottleneck.weight"] @ inputs + params["bottleneck.bias"][:, None]
+    weight = params["bottleneck.weight"]
+    unique, inverse = np.unique(windows.ids, return_inverse=True)
+    inverse = inverse.reshape(windows.ids.shape)
+    rows = windows.table[unique].astype(weight.dtype, copy=False)
+    projected = [rows @ weight[:, j * m : (j + 1) * m].T for j in range(slots)]
+    acc = projected[0][inverse[:, 0]]
+    for j in range(1, slots):
+        acc += projected[j][inverse[:, j]]
+    x = np.empty((n, weight.shape[0], s), dtype=acc.dtype)
+    np.add(acc.transpose(0, 2, 1), params["bottleneck.bias"][:, None], out=x)
+    return x, (rows, inverse)
+
+
+def _token_bottleneck_weight_grad(
+    dx: np.ndarray, rows: np.ndarray, inverse: np.ndarray
+) -> np.ndarray:
+    """Weight gradient for token input: ``dx`` summed per distinct row, then one GEMM per slot.
+
+    Positions holding an all-zero first row (the padding row) add nothing
+    and are skipped. Each segment sum runs in a stable sorted order, so the
+    result is deterministic.
+    """
+    n, b, s = dx.shape
+    per_position = dx.transpose(0, 2, 1)
+    skip_first = not rows[0].any()
+    blocks = []
+    for j in range(inverse.shape[1]):
+        index = inverse[:, j].ravel()
+        live = np.flatnonzero(index) if skip_first else np.arange(index.size)
+        order = live[np.argsort(index[live], kind="stable")]
+        sorted_index = index[order]
+        per_row = np.zeros((len(rows), b), dtype=dx.dtype)
+        if len(order):
+            starts = np.flatnonzero(np.r_[True, sorted_index[1:] != sorted_index[:-1]])
+            gathered = per_position[order // s, order % s]
+            per_row[sorted_index[starts]] = np.add.reduceat(gathered, starts, axis=0)
+        blocks.append(per_row.T @ rows)
+    return np.concatenate(blocks, axis=1)
+
+
+def forward_batch(
+    inputs: np.ndarray | TokenWindows,
+    valid_lens: np.ndarray,
+    params: ModelParams,
+    cfg: ModelConfig,
+) -> tuple[np.ndarray, ActivationRecord]:
+    """Run the network on a dense (batch, input_rows, seq_len) tensor or on token windows."""
+    if isinstance(inputs, TokenWindows):
+        x, saved = _token_bottleneck(inputs, params, cfg)
+    else:
+        if inputs.ndim != 3 or inputs.shape[1:] != (cfg.input_rows, cfg.seq_len):
+            raise ValueError(
+                f"input shape {inputs.shape} does not match "
+                f"(batch, {cfg.input_rows}, {cfg.seq_len})"
+            )
+        x = params["bottleneck.weight"] @ inputs + params["bottleneck.bias"][:, None]
+        saved = inputs
     record = ActivationRecord(
-        inputs=inputs, valid_lens=np.asarray(valid_lens), bottleneck_out=x, mixer_out=x
+        inputs=saved, valid_lens=np.asarray(valid_lens), bottleneck_out=x, mixer_out=x
     )
 
     for k in range(cfg.depth):
@@ -268,7 +339,10 @@ def backward_batch(
     cfg: ModelConfig,
     want_input_grad: bool = True,
 ) -> tuple[ModelParams, np.ndarray | None]:
-    """Exact gradients of all parameters (and optionally the input tensor)."""
+    """Exact gradients of all parameters (and optionally the dense input tensor)."""
+    token_input = isinstance(record.inputs, tuple)
+    if token_input and want_input_grad:
+        raise ValueError("token input has no input gradient; pass want_input_grad=False")
     grads: ModelParams = {}
     o = record.mixer_out
 
@@ -331,7 +405,10 @@ def backward_batch(
         grads[f"{prefix}.norm1.shift"] = dshift1
         dx = du + dx_norm
 
-    grads["bottleneck.weight"] = _pair_grad(dx, record.inputs)
+    if token_input:
+        grads["bottleneck.weight"] = _token_bottleneck_weight_grad(dx, *record.inputs)
+    else:
+        grads["bottleneck.weight"] = _pair_grad(dx, record.inputs)
     grads["bottleneck.bias"] = dx.sum(axis=(0, 2))
     input_grad = None
     if want_input_grad:

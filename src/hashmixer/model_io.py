@@ -14,11 +14,15 @@ Feature dump:
 
     magic "PNLPFEAT" | version u32 | count u64 | rows u32 | cols u32
     per example: valid_len u32 | float32 data (rows x cols, row major)
+
+Readers reject a file with bytes after its last record.
 """
 
 from __future__ import annotations
 
+import os
 import struct
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -95,6 +99,11 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def finish(self) -> None:
+        extra = len(self.blob) - self.pos
+        if extra:
+            raise ModelFileError(f"{self.path}: {extra} trailing bytes after the last record")
+
 
 def load_model(path: str) -> tuple[ModelParams, ModelConfig, bool]:
     """Read a model container; quantized tensors come back dequantized.
@@ -130,7 +139,10 @@ def load_model(path: str) -> tuple[ModelParams, ModelConfig, bool]:
     any_quantized = False
     for _ in range(tensor_count):
         (name_len,) = reader.unpack("<H")
-        name = reader.take(name_len).decode("utf-8")
+        try:
+            name = reader.take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ModelFileError(f"{path}: tensor name is not valid UTF-8: {exc}") from exc
         type_tag, rank = reader.unpack("<BB")
         shape = tuple(reader.unpack(f"<{rank}I")) if rank else ()
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
@@ -148,6 +160,7 @@ def load_model(path: str) -> tuple[ModelParams, ModelConfig, bool]:
             params[name] = dequantize(q)
         else:
             raise ModelFileError(f"{path}: unknown tensor type tag {type_tag}")
+    reader.finish()
 
     expected = param_shapes(cfg)
     missing = sorted(set(expected) - set(params))
@@ -161,20 +174,42 @@ def load_model(path: str) -> tuple[ModelParams, ModelConfig, bool]:
     return params, cfg, any_quantized
 
 
-def save_features(path: str, matrices: list[FeatureMatrix]) -> None:
-    """Dump projected matrices so several models can reuse one extraction."""
-    if matrices:
-        rows, cols = matrices[0].data.shape
-        if any(m.data.shape != (rows, cols) for m in matrices):
-            raise ValueError("all feature matrices in one dump must share a shape")
-    else:
-        rows = cols = 0
+def save_features(
+    path: str, matrices: Iterable[FeatureMatrix], count: int | None = None
+) -> None:
+    """Dump projected matrices so several models can reuse one extraction.
+
+    ``matrices`` may be a generator when ``count`` gives its length up
+    front: each matrix is written as it arrives, so a dump never has to fit
+    in memory. A dump whose matrices disagree in shape or number with its
+    header is deleted.
+    """
+    if count is None:
+        count = len(matrices)
+    shape = None
+    written = 0
     with open(path, "wb") as fh:
-        fh.write(FEATURES_MAGIC)
-        fh.write(struct.pack("<IQII", CONTAINER_VERSION, len(matrices), rows, cols))
-        for m in matrices:
-            fh.write(struct.pack("<I", m.valid_len))
-            fh.write(np.ascontiguousarray(m.data, dtype="<f4").tobytes())
+        try:
+            for m in matrices:
+                if shape is None:
+                    shape = m.data.shape
+                    fh.write(FEATURES_MAGIC + struct.pack("<IQII", CONTAINER_VERSION, count, *shape))
+                elif m.data.shape != shape:
+                    raise ValueError("all feature matrices in one dump must share a shape")
+                fh.write(struct.pack("<I", m.valid_len))
+                fh.write(np.ascontiguousarray(m.data, dtype="<f4").tobytes())
+                written += 1
+                # hold no matrix while the generator builds its next one, which
+                # may be a view of a batch it can then free
+                del m
+            if shape is None:
+                fh.write(FEATURES_MAGIC + struct.pack("<IQII", CONTAINER_VERSION, count, 0, 0))
+            if written != count:
+                raise ValueError(f"{path}: wrote {written} feature matrices, header says {count}")
+        except ValueError:
+            fh.close()
+            os.remove(path)
+            raise
 
 
 def load_features(path: str) -> list[FeatureMatrix]:
@@ -195,4 +230,5 @@ def load_features(path: str) -> list[FeatureMatrix]:
         data = np.frombuffer(reader.take(4 * rows * cols), dtype="<f4")
         out.append(FeatureMatrix(data=data.astype(np.float64).reshape(rows, cols),
                                  valid_len=valid_len))
+    reader.finish()
     return out

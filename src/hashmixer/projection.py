@@ -10,6 +10,12 @@ The main path turns a token sequence into a ``(2w+1)*m x s`` float matrix:
 * concatenate each token's counters with those of its ``w`` neighbours on
   either side, zero-padding at the boundaries and after the last token.
 
+That dense matrix is under 1% nonzero, so only ``project`` dumps (and the
+tests' reference) build it, through :meth:`SequenceFeaturizer.materialize`.
+Training and inference hand the model a :class:`TokenWindows` instead: the
+featurizer's token table plus, for every window slot of every position, the
+table row it holds.
+
 Binary, ternary-pair (tsp) and simhash baseline features share the tokenizer
 and hash family but skip the cache; they exist for head-to-head comparisons
 against the counting features.
@@ -241,6 +247,19 @@ class FeatureMatrix:
             raise ValueError("valid_len must be within the column count")
 
 
+@dataclass(frozen=True, eq=False)
+class TokenWindows:
+    """Model input as token-table rows instead of a dense matrix.
+
+    ``table[ids[n, j, t]]`` is the feature block that rows ``j*m .. (j+1)*m``
+    of column ``t`` of example ``n``'s dense matrix would hold; row 0 of
+    ``table`` is the zero padding feature.
+    """
+
+    table: np.ndarray
+    ids: np.ndarray
+
+
 def token_feature(
     token: str,
     vocab: Vocabulary,
@@ -318,25 +337,42 @@ class SequenceFeaturizer:
                 ids[row, col] = self._token_id(tok)
         return ids, valid
 
-    def materialize(
-        self, ids: np.ndarray, valid: np.ndarray, dtype=np.float64
-    ) -> np.ndarray:
-        """Assemble the (batch, rows, s) input tensor for encoded examples.
+    @property
+    def table(self) -> np.ndarray:
+        """The float32 token table: row 0 is padding, then one row per distinct token."""
+        return self._table[: len(self._ids) + 1]
 
-        float32 output is exact and halves the memory traffic during
-        training; other dtypes upcast the table's rows on assignment.
+    def window_ids(self, ids: np.ndarray, valid: np.ndarray) -> np.ndarray:
+        """Table row of every window slot: a (batch, 2w+1, s) array.
+
+        Slot ``j`` of column ``t`` holds the token at ``t + j - w``, or row 0
+        where that neighbour, or column ``t`` itself, lies past the valid
+        length or before the start.
         """
-        table = self._table
-        m = self.cfg.token_feature_len
         w = self.cfg.window
         n, s = ids.shape
-        out = np.empty((n, (2 * w + 1) * m, s), dtype=dtype)
+        out = np.empty((n, 2 * w + 1, s), dtype=np.intp)
         positions = np.arange(s)
         column_live = positions[None, :] < valid[:, None]
         for j in range(2 * w + 1):
-            offset = j - w
-            neighbour = positions + offset
+            neighbour = positions + (j - w)
             in_range = (neighbour >= 0) & (neighbour < valid[:, None]) & column_live
-            shifted = np.where(in_range, ids[:, np.clip(neighbour, 0, s - 1)], 0)
-            out[:, j * m : (j + 1) * m, :] = table[shifted].transpose(0, 2, 1)
+            out[:, j, :] = np.where(in_range, ids[:, np.clip(neighbour, 0, s - 1)], 0)
+        return out
+
+    def materialize(
+        self, ids: np.ndarray, valid: np.ndarray, dtype=np.float64
+    ) -> np.ndarray:
+        """Assemble the dense (batch, rows, s) input tensor for encoded examples.
+
+        float32 output is exact; other dtypes upcast the table's rows on
+        assignment.
+        """
+        table = self._table
+        m = self.cfg.token_feature_len
+        windows = self.window_ids(ids, valid)
+        n, slots, s = windows.shape
+        out = np.empty((n, slots * m, s), dtype=dtype)
+        for j in range(slots):
+            out[:, j * m : (j + 1) * m, :] = table[windows[:, j]].transpose(0, 2, 1)
         return out

@@ -3,7 +3,9 @@
 Training is deterministic given a seed: batches are drawn in a seeded order,
 parameter initialization uses its own counter-based stream, and all updates
 run sequentially. Feature extraction is pure and memoized per distinct token,
-so epochs after the first pay only for the linear algebra.
+so epochs after the first pay only for the linear algebra. Training,
+evaluation and prediction feed the model :class:`TokenWindows` (token-table
+rows per window slot), never the dense projected input.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .mixer import (
     forward_batch,
     init_params,
 )
-from .projection import FingerprintCache, ProjectionConfig, SequenceFeaturizer
+from .projection import FingerprintCache, ProjectionConfig, SequenceFeaturizer, TokenWindows
 from .vocab import Vocabulary
 
 IGNORE_LABEL = -1
@@ -216,6 +218,11 @@ def encode_dataset(
     return EncodedDataset(ids=ids, valid=valid, labels=labels, examples=examples)
 
 
+def _token_windows(featurizer: SequenceFeaturizer, data: EncodedDataset, sel) -> TokenWindows:
+    """Model input for the selected examples: the token table and their window rows."""
+    return TokenWindows(featurizer.table, featurizer.window_ids(data.ids[sel], data.valid[sel]))
+
+
 def predict_batches(
     data: EncodedDataset,
     featurizer: SequenceFeaturizer,
@@ -224,12 +231,11 @@ def predict_batches(
     batch_size: int = 256,
 ) -> list[np.ndarray]:
     """Arg-max predictions per example (per position for the token head)."""
-    dtype = next(iter(params.values())).dtype
     out: list[np.ndarray] = []
     for lo in range(0, len(data.examples), batch_size):
         sel = slice(lo, min(lo + batch_size, len(data.examples)))
-        inputs = featurizer.materialize(data.ids[sel], data.valid[sel], dtype=dtype)
-        logits, _ = forward_batch(inputs, data.valid[sel], params, cfg)
+        logits, _ = forward_batch(_token_windows(featurizer, data, sel), data.valid[sel],
+                                  params, cfg)
         if cfg.head == "token":
             pred = logits.argmax(axis=1)
             out.extend(pred[i, : data.valid[sel][i]] for i in range(pred.shape[0]))
@@ -334,9 +340,7 @@ def train(
         weight_sum = 0
         for lo in range(0, n, train_cfg.batch_size):
             batch = order[lo : lo + train_cfg.batch_size]
-            inputs = featurizer.materialize(
-                train_data.ids[batch], train_data.valid[batch], dtype=dtype
-            )
+            inputs = _token_windows(featurizer, train_data, batch)
             logits, record = forward_batch(inputs, train_data.valid[batch], params, model_cfg)
             batch_labels = train_data.labels[batch]
             loss, dlogits = cross_entropy_masked(logits, batch_labels, head=head)

@@ -3,14 +3,22 @@
 import hashlib
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
 
 from hashmixer.cli import run
 from hashmixer.data import synth_dataset
-from hashmixer.model_io import load_features
-from hashmixer.projection import ProjectionConfig, build_cache, load_cache, token_feature
+from hashmixer.model_io import MODEL_MAGIC, load_features, save_features
+from hashmixer.projection import (
+    FeatureMatrix,
+    ProjectionConfig,
+    SequenceFeaturizer,
+    build_cache,
+    load_cache,
+    token_feature,
+)
 from hashmixer.vocab import load_vocab
 
 
@@ -153,6 +161,43 @@ class TestTrainEvalPredictQuantize:
             ref[:, t] = token_feature(tok, vocab, cfg, cache=cache)
         assert dumped[0].valid_len == len(kept)
         assert np.allclose(dumped[0].data, ref, atol=1e-6)
+
+    def test_project_in_chunks_matches_one_shot_dump(self, workspace, tmp_path):
+        with open(workspace["config"], encoding="utf-8") as fh:
+            config = json.load(fh)
+        config["train"]["batch_size"] = 7  # several chunks, the last one partial
+        config_path = tmp_path / "chunked.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        out = str(tmp_path / "chunked.bin")
+        val = workspace["paths"]["val"]
+        assert run(["project", "--config", str(config_path), "--input", val,
+                    "-o", out, "--quiet"]) == 0
+
+        from hashmixer.data import load_jsonl
+
+        examples = load_jsonl(val)
+        assert len(examples) > 7 and len(examples) % 7
+        featurizer = SequenceFeaturizer(load_vocab(workspace["paths"]["vocab"]),
+                                        ProjectionConfig(**config["projection"]))
+        ids, valid = featurizer.encode([ex.tokens for ex in examples])
+        inputs = featurizer.materialize(ids, valid, dtype=np.float32)
+        ref = str(tmp_path / "one_shot.bin")
+        save_features(ref, [FeatureMatrix(data=x, valid_len=int(n)) for x, n in zip(inputs, valid)])
+        assert _sha(out) == _sha(ref)
+
+    def test_predict_rejects_malformed_model_file(self, trained, workspace, tmp_path, capsys):
+        blob = open(os.path.join(trained, "model.bin"), "rb").read()
+        first_name = len(MODEL_MAGIC) + struct.calcsize("<IIIIIIBII") + 2
+        bad_name = blob[:first_name] + b"\xff" + blob[first_name + 1 :]
+        for name, corrupt, message in (("bad_name.bin", bad_name, "UTF-8"),
+                                       ("trailing.bin", blob + b"\x00" * 7, "trailing")):
+            path = tmp_path / name
+            path.write_bytes(corrupt)
+            code = run(["predict", "--model", str(path), "--config", workspace["config"],
+                        "--labels", os.path.join(trained, "labels.json"),
+                        "--text", "a b", "--quiet"])
+            assert code == 2
+            assert message in capsys.readouterr().err
 
     def test_predict_rejects_mismatched_labels(self, trained, workspace, tmp_path, capsys):
         model = os.path.join(trained, "model.bin")

@@ -17,7 +17,7 @@ from hashmixer.mixer import (
     layer_norm,
     param_shapes,
 )
-from hashmixer.projection import FeatureMatrix
+from hashmixer.projection import FeatureMatrix, TokenWindows
 from hashmixer.training import cross_entropy_masked
 
 
@@ -267,6 +267,112 @@ class TestBackward:
                                      want_input_grad=False)
         assert input_grad is None
         assert grads["bottleneck.weight"].shape == (8, 12)
+
+
+def token_case(rng, window, distinct, m=4, s=6, valid=(4, 6, 1)):
+    """Random counting-style token windows and the dense tensor they stand for.
+
+    With ``distinct`` every live window slot holds its own table row;
+    otherwise the slots draw from 5 rows and the padding row.
+    """
+    n, slots = len(valid), 2 * window + 1
+    rows = n * slots * s if distinct else 5
+    table = np.vstack([np.zeros((1, m)), rng.integers(0, 3, size=(rows, m))]).astype(np.float32)
+    ids = np.zeros((n, slots, s), dtype=np.intp)
+    for i, v in enumerate(valid):
+        if distinct:
+            ids[i, :, :v] = 1 + i * slots * s + np.arange(slots * v).reshape(slots, v)
+        else:
+            ids[i, :, :v] = rng.integers(0, rows + 1, size=(slots, v))
+    dense = np.concatenate([table[ids[:, j]].transpose(0, 2, 1) for j in range(slots)], axis=1)
+    return TokenWindows(table=table, ids=ids), dense, np.array(valid)
+
+
+def token_cfg(window, head, m=4, s=6, depth=2):
+    return ModelConfig(input_rows=(2 * window + 1) * m, seq_len=s, bottleneck=8, hidden=8,
+                       depth=depth, head=head, num_labels=5)
+
+
+def case_labels(head, valid, s=6, num_labels=5):
+    if head == "pooled":
+        return np.arange(len(valid)) % num_labels
+    labels = np.full((len(valid), s), -1)
+    for i, v in enumerate(valid):
+        labels[i, :v] = (np.arange(v) + i) % num_labels
+    return labels
+
+
+class TestTokenInput:
+    """Token windows give the dense path's logits and gradients."""
+
+    @staticmethod
+    def run(inputs, valid, labels, params, cfg):
+        logits, record = forward_batch(inputs, valid, params, cfg)
+        _, dlogits = cross_entropy_masked(logits, labels, head=cfg.head)
+        grads, _ = backward_batch(record, dlogits, params, cfg, want_input_grad=False)
+        return logits, grads
+
+    @pytest.mark.parametrize("window", [0, 1])
+    @pytest.mark.parametrize("head", ["token", "pooled"])
+    @pytest.mark.parametrize("distinct", [True, False])
+    @pytest.mark.parametrize("valid", [(4, 6, 1), (6, 6)])  # padded, or no padding row at all
+    def test_matches_dense_float64(self, window, head, distinct, valid, rng):
+        windows, dense, valid = token_case(rng, window, distinct, valid=valid)
+        cfg = token_cfg(window, head)
+        params = init_params(cfg, seed=8)
+        labels = case_labels(head, valid)
+        logits_t, grads_t = self.run(windows, valid, labels, params, cfg)
+        logits_d, grads_d = self.run(dense.astype(np.float64), valid, labels, params, cfg)
+        assert logits_t.dtype == np.float64
+        assert np.abs(logits_t - logits_d).max() <= 1e-12 * np.abs(logits_d).max()
+        assert grads_t.keys() == grads_d.keys()
+        for name in grads_d:
+            scale = np.abs(grads_d[name]).max()
+            assert np.abs(grads_t[name] - grads_d[name]).max() <= 1e-12 * scale, name
+
+    @pytest.mark.parametrize("window", [0, 1])
+    @pytest.mark.parametrize("head", ["token", "pooled"])
+    def test_matches_dense_float32(self, window, head, rng):
+        windows, dense, valid = token_case(rng, window, distinct=False)
+        cfg = token_cfg(window, head)
+        params = {k: p.astype(np.float32) for k, p in init_params(cfg, seed=8).items()}
+        labels = case_labels(head, valid)
+        logits_t, grads_t = self.run(windows, valid, labels, params, cfg)
+        logits_d, grads_d = self.run(dense, valid, labels, params, cfg)
+        assert logits_t.dtype == np.float32
+        assert np.abs(logits_t - logits_d).max() <= 1e-5 * np.abs(logits_d).max()
+        for name in grads_d:
+            scale = np.abs(grads_d[name]).max()
+            assert np.abs(grads_t[name] - grads_d[name]).max() <= 1e-5 * scale, name
+
+    @pytest.mark.parametrize("head", ["token", "pooled"])
+    def test_bottleneck_weight_matches_finite_differences(self, head, rng):
+        windows, _, valid = token_case(rng, 1, distinct=False)
+        cfg = token_cfg(1, head)
+        params = init_params(cfg, seed=21)
+        labels = case_labels(head, valid)
+
+        def loss_fn():
+            logits, _ = forward_batch(windows, valid, params, cfg)
+            return cross_entropy_masked(logits, labels, head=head)[0]
+
+        _, grads = self.run(windows, valid, labels, params, cfg)
+        numeric = numeric_gradients(loss_fn, {"bottleneck.weight": params["bottleneck.weight"]})
+        assert max_rel_error({"bottleneck.weight": grads["bottleneck.weight"]}, numeric) < 1e-4
+
+    def test_input_grad_rejected(self, rng):
+        windows, _, valid = token_case(rng, 1, distinct=True)
+        cfg = token_cfg(1, "token")
+        params = init_params(cfg, seed=3)
+        logits, record = forward_batch(windows, valid, params, cfg)
+        with pytest.raises(ValueError, match="input gradient"):
+            backward_batch(record, np.ones_like(logits), params, cfg)
+
+    def test_shape_mismatch_rejected(self, rng):
+        windows, _, valid = token_case(rng, 1, distinct=True)
+        params = init_params(token_cfg(0, "token"), seed=3)
+        with pytest.raises(ValueError):
+            forward_batch(windows, valid, params, token_cfg(0, "token"))
 
 
 class TestParameterCounts:

@@ -1,9 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
 
 from hashmixer.errors import ModelFileError
 from hashmixer.mixer import ModelConfig, init_params
 from hashmixer.model_io import (
+    MODEL_MAGIC,
     load_features,
     load_model,
     save_features,
@@ -85,6 +88,22 @@ class TestModelContainer:
         with pytest.raises(ModelFileError, match="cannot read"):
             load_model(str(tmp_path / "absent.bin"))
 
+    def test_non_utf8_tensor_name(self, cfg, tmp_path):
+        path = tmp_path / "model.bin"
+        save_model(str(path), init_params(cfg, seed=6), cfg)
+        blob = bytearray(path.read_bytes())
+        blob[len(MODEL_MAGIC) + struct.calcsize("<IIIIIIBII") + 2] = 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ModelFileError, match="UTF-8"):
+            load_model(str(path))
+
+    def test_trailing_bytes_rejected(self, cfg, tmp_path):
+        path = tmp_path / "model.bin"
+        save_model(str(path), init_params(cfg, seed=6), cfg)
+        path.write_bytes(path.read_bytes() + b"\x00" * 7)
+        with pytest.raises(ModelFileError, match="7 trailing bytes"):
+            load_model(str(path))
+
 
 class TestFeatureDump:
     def test_round_trip(self, tmp_path, rng):
@@ -106,8 +125,29 @@ class TestFeatureDump:
                 FeatureMatrix(data=np.zeros((5, 3)), valid_len=1)]
         with pytest.raises(ValueError):
             save_features(str(tmp_path / "f.bin"), mats)
+        assert not (tmp_path / "f.bin").exists()
 
     def test_empty_dump(self, tmp_path):
         path = str(tmp_path / "empty.bin")
         save_features(path, [])
         assert load_features(path) == []
+
+    def test_generator_with_count_matches_list(self, tmp_path, rng):
+        mats = [FeatureMatrix(data=rng.normal(size=(6, 4)), valid_len=v) for v in (1, 2, 3)]
+        listed, streamed = tmp_path / "list.bin", tmp_path / "stream.bin"
+        save_features(str(listed), mats)
+        save_features(str(streamed), (m for m in mats), count=len(mats))
+        assert streamed.read_bytes() == listed.read_bytes()
+
+    def test_count_mismatch_rejected(self, tmp_path):
+        mats = [FeatureMatrix(data=np.zeros((4, 3)), valid_len=1)] * 2
+        with pytest.raises(ValueError, match="header says 3"):
+            save_features(str(tmp_path / "f.bin"), iter(mats), count=3)
+        assert not (tmp_path / "f.bin").exists()
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "features.bin"
+        save_features(str(path), [FeatureMatrix(data=np.zeros((4, 3)), valid_len=1)])
+        path.write_bytes(path.read_bytes() + b"\x00" * 7)
+        with pytest.raises(ModelFileError, match="7 trailing bytes"):
+            load_features(str(path))

@@ -5,8 +5,8 @@ import pytest
 
 from hashmixer.data import synth_examples
 from hashmixer.errors import DataError
-from hashmixer.mixer import ModelConfig, init_params
-from hashmixer.projection import ProjectionConfig, SequenceFeaturizer
+from hashmixer.mixer import ModelConfig, backward_batch, forward_batch, init_params
+from hashmixer.projection import ProjectionConfig, SequenceFeaturizer, TokenWindows
 from hashmixer.training import (
     IGNORE_LABEL,
     OptimizerState,
@@ -285,6 +285,59 @@ class TestTrainLoop:
                        bottleneck=32, hidden=64, depth=1, head="pooled")
         assert result.best_metric > 0.9
         assert result.model_cfg.head == "pooled"
+
+
+class TestTokenWindowsPath:
+    """Training and inference feed token windows; they must equal the dense input."""
+
+    @pytest.mark.parametrize("window", [0, 1])
+    @pytest.mark.parametrize("head", ["token", "pooled"])
+    def test_featurizer_windows_match_dense_path(self, window, head, small_task, rng):
+        task, vocab, _ = small_task
+        # 6 positions: the 4..10-token examples are both truncated and padded
+        proj = ProjectionConfig(kind="minhash", n_hashes=32, feature_size=64,
+                                window=window, max_seq_len=6)
+        featurizer = SequenceFeaturizer(vocab, proj)
+        examples = task.train[:16]
+        ids, valid = featurizer.encode([ex.tokens for ex in examples])
+        assert any(len(ex.tokens) > 6 for ex in examples) and (valid < 6).any()
+        windows = TokenWindows(featurizer.table, featurizer.window_ids(ids, valid))
+        dense = featurizer.materialize(ids, valid)
+        m = proj.token_feature_len
+        for j in range(2 * window + 1):
+            block = windows.table[windows.ids[:, j]].transpose(0, 2, 1)
+            assert np.array_equal(dense[:, j * m : (j + 1) * m], block)
+
+        cfg = ModelConfig(input_rows=proj.input_rows, seq_len=proj.max_seq_len,
+                          bottleneck=12, hidden=10, depth=2, head=head, num_labels=5)
+        params = init_params(cfg, seed=4)
+        logits_t, record_t = forward_batch(windows, valid, params, cfg)
+        logits_d, record_d = forward_batch(dense, valid, params, cfg)
+        assert np.abs(logits_t - logits_d).max() <= 1e-12 * np.abs(logits_d).max()
+        upstream = rng.normal(size=logits_d.shape)
+        grads_t, _ = backward_batch(record_t, upstream, params, cfg, want_input_grad=False)
+        grads_d, _ = backward_batch(record_d, upstream, params, cfg, want_input_grad=False)
+        for name in grads_d:
+            scale = np.abs(grads_d[name]).max()
+            assert np.abs(grads_t[name] - grads_d[name]).max() <= 1e-12 * scale, name
+
+    def test_seeded_pooled_window_runs_are_bit_identical(self, small_task):
+        task, vocab, _ = small_task
+        from hashmixer.data import Example
+
+        def to_cls(examples):
+            return [Example(tokens=ex.tokens, class_label=ex.slot_labels[0])
+                    for ex in examples]
+
+        proj = ProjectionConfig(kind="minhash", n_hashes=32, feature_size=64,
+                                window=1, max_seq_len=6)
+        tc = TrainConfig(learning_rate=3e-3, batch_size=64, epochs=2, seed=11)
+        kwargs = dict(bottleneck=16, hidden=16, depth=1, head="pooled")
+        a = train(to_cls(task.train), to_cls(task.val), vocab, proj, tc, **kwargs)
+        b = train(to_cls(task.train), to_cls(task.val), vocab, proj, tc, **kwargs)
+        assert [e["train_loss"] for e in a.log] == [e["train_loss"] for e in b.log]
+        for name in a.params:
+            assert np.array_equal(a.params[name], b.params[name])
 
 
 class TestTrainConfig:
