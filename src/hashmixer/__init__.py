@@ -6,17 +6,9 @@ rest. No embedding tables, no string hashing at inference time.
 """
 
 from .config import PRESETS, RunConfig, build_run_config
-from .data import Example, LabelInventory, load_jsonl, synth_dataset, synth_examples
+from .data import Example, LabelInventory, load_jsonl, synth_examples
 from .hashing import HashFamily, char_trigrams, fnv1a64, minhash_unit, splitmix64, string_hash
-from .mixer import (
-    ModelConfig,
-    backward,
-    count_parameters,
-    forward,
-    gelu,
-    init_params,
-    layer_norm,
-)
+from .mixer import ModelConfig, backward_batch, count_parameters, forward_batch, init_params
 from .projection import (
     FeatureMatrix,
     FingerprintCache,

@@ -177,7 +177,3 @@ def save_run_config(cfg: RunConfig, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(cfg.to_document(), fh, indent=2)
         fh.write("\n")
-
-
-def load_run_config(path: str) -> RunConfig:
-    return build_run_config(path=path)

@@ -2,10 +2,22 @@
 
 The network maps a projected input matrix ``C`` of shape ``(rows, s)`` to a
 ``(b, s)`` representation via a linear bottleneck, then applies ``depth``
-mixer layers. Each layer runs two residual MLPs: one across positions (after
-transposition) and one across channels, both pre-normalized and GELU
-activated. A token head emits per-position logits; a pooled head attends over
-valid positions with a learned query and classifies the pooled vector.
+mixer layers. Each layer runs two residual MLPs: one across positions and
+one across channels, both pre-normalized and GELU activated. A token head
+emits per-position logits; a pooled head attends over valid positions with a
+learned query and classifies the pooled vector.
+
+Layout. Inside the network the residual stream of a batch of ``N`` examples
+is one tokens-major ``(N*s, b)`` array: row ``n*s + t`` is position ``t`` of
+example ``n``. The channel MLP, the head and all their gradients are 2-D
+GEMMs on it, and layer norm reduces over its contiguous last axis. The token
+MLP works on one transposed copy per layer, ``(N*b, s)``, so it too is 2-D
+GEMMs; the transposition back is folded into the residual add, and backward
+rebuilds the copy from the cached normalized rows instead of keeping it
+alive between the passes. Logits keep
+the ``(N, labels, s)`` layout, and :class:`ActivationRecord`'s
+``bottleneck_out``/``mixer_out`` keep their ``(N, b, s)`` shapes as
+transposed views of the stream.
 
 The input comes in two forms. Training and inference pass
 :class:`~hashmixer.projection.TokenWindows`, the token-table row of every
@@ -15,11 +27,20 @@ segment-sums the upstream gradient per distinct row, so ``C`` is never built.
 A dense ``(batch, rows, s)`` tensor is the reference form, and only it has an
 input gradient. Everything after the bottleneck is shared.
 
+GELU is exact, ``x * Phi(x)`` with ``Phi`` the standard normal CDF, and the
+dtype of the activations selects how ``Phi`` is computed. float32 (the
+trainer) uses a clamped rational erf, ``z * P(z^2) / Q(z^2)`` with ``z``
+clamped to [-4, 4] (Eigen's single-precision form), evaluated in blocks of
+:data:`ERF_BLOCK` elements so that its dozens of passes stay in cache. Its
+``Phi`` is within 2.4e-7 of the float64 value on a dense grid over
+[-10, 10], and is exactly 0 or 1 beyond |x| = 4 sqrt 2. Every other dtype
+uses scipy's erf, at the full precision the float64 gradient checks need.
+``gelu_grad`` is blocked the same way in float32.
+
 Parameters and their gradients are flat ``{name: ndarray}`` dicts so the
 optimizer, serializer and quantizer can treat them uniformly. The math
 follows the dtype of the parameters and inputs (float64 for gradient
-verification, float32 in the trainer) and is batched: public entry points
-accept a single example, the ``*_batch`` variants a leading batch axis.
+verification, float32 in the trainer) and takes a leading batch axis.
 """
 
 from __future__ import annotations
@@ -31,7 +52,7 @@ import numpy as np
 from scipy.special import erf
 
 from .hashing import splitmix64_array
-from .projection import FeatureMatrix, TokenWindows
+from .projection import TokenWindows
 
 LN_EPS = 1e-6
 
@@ -41,6 +62,24 @@ HEAD_KINDS = ("token", "pooled")
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+# Elements per block of the float32 GELU: the operands of one block (about
+# 1.3 MB) stay in a 2 MB per-core L2 cache across the polynomial's passes.
+ERF_BLOCK = 1 << 16
+
+# Eigen's single-precision erf: odd numerator and even denominator
+# coefficients in z^2, highest power first; |z| is clamped to 4, where
+# erf(z) rounds to 1 in float32.
+_ERF_CLAMP = np.float32(4.0)
+_ERF_P = tuple(np.float32(c) for c in (
+    -2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
+    -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
+    -1.60960333262415e-02,
+))
+_ERF_Q = tuple(np.float32(c) for c in (
+    -1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
+    -7.37332916720468e-03, -1.42647390514189e-02,
+))
 
 
 @dataclass(frozen=True)
@@ -122,69 +161,92 @@ def init_params(cfg: ModelConfig, seed: int) -> ModelParams:
     return params
 
 
+def _float32_blocks(out: np.ndarray, *arrays: np.ndarray):
+    """Matching flat blocks of ``out`` and of C-ordered copies of ``arrays``."""
+    flats = [out.reshape(-1)] + [np.ascontiguousarray(a).reshape(-1) for a in arrays]
+    for lo in range(0, out.size, ERF_BLOCK):
+        yield [f[lo : lo + ERF_BLOCK] for f in flats]
+
+
 def normal_cdf(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    """Standard normal CDF, ``0.5 * (1 + erf(x / sqrt 2))``, elementwise.
 
-
-def gelu(x: np.ndarray) -> np.ndarray:
-    """Exact GELU: x * Phi(x) with Phi the standard normal CDF."""
-    return x * normal_cdf(x)
+    float32 input takes the blocked rational erf (within 2.4e-7 of the
+    float64 value); any other dtype takes scipy's erf.
+    """
+    x = np.asarray(x)
+    if x.dtype != np.float32:
+        return 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    out = np.empty(x.shape, dtype=np.float32)
+    scratch = np.empty((3, min(x.size, ERF_BLOCK)), dtype=np.float32)
+    for p, xb in _float32_blocks(out, x):
+        z, z2, q = scratch[:, : len(p)]
+        np.multiply(xb, np.float32(_INV_SQRT2), out=z)
+        np.minimum(z, _ERF_CLAMP, out=z)
+        np.maximum(z, -_ERF_CLAMP, out=z)
+        np.multiply(z, z, out=z2)
+        np.multiply(z2, _ERF_P[0], out=p)
+        p += _ERF_P[1]
+        for c in _ERF_P[2:]:
+            p *= z2
+            p += c
+        p *= z
+        np.multiply(z2, _ERF_Q[0], out=q)
+        q += _ERF_Q[1]
+        for c in _ERF_Q[2:]:
+            q *= z2
+            q += c
+        p /= q
+        p += np.float32(1.0)
+        p *= np.float32(0.5)
+    return out
 
 
 def gelu_grad(x: np.ndarray, cdf: np.ndarray | None = None) -> np.ndarray:
     """d/dx GELU; pass the forward pass's Phi(x) to skip recomputing erf."""
     if cdf is None:
         cdf = normal_cdf(x)
-    return cdf + x * np.exp(-0.5 * x * x) * _INV_SQRT_2PI
+    if np.result_type(x, cdf) != np.float32:
+        return cdf + x * np.exp(-0.5 * x * x) * _INV_SQRT_2PI
+    out = np.empty(np.shape(x), dtype=np.float32)
+    for d, xb, cb in _float32_blocks(out, x, cdf):
+        np.multiply(xb, np.float32(-0.5), out=d)
+        d *= xb
+        np.exp(d, out=d)
+        d *= xb
+        d *= np.float32(_INV_SQRT_2PI)
+        d += cb
+    return out
 
 
-def layer_norm(
-    v: np.ndarray, scale: np.ndarray, shift: np.ndarray, eps: float = LN_EPS
-) -> np.ndarray:
-    """Normalize a vector to zero mean and unit (biased) variance, then affine."""
-    mean = v.mean()
-    var = v.var()
-    return (v - mean) / math.sqrt(var + eps) * scale + shift
+def _normalize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-mean, unit-variance rows of ``x`` (one position's channels per row)."""
+    xhat = x - x.mean(axis=1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(np.mean(xhat * xhat, axis=1, keepdims=True) + LN_EPS)
+    xhat *= inv_std
+    return xhat, inv_std
 
 
-def _ln_columns(x: np.ndarray, scale: np.ndarray, shift: np.ndarray):
-    """Layer norm of every column's channel vector; x is (N, b, s)."""
-    mean = x.mean(axis=1, keepdims=True)
-    var = x.var(axis=1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (x - mean) * inv_std
-    return scale[:, None] * xhat + shift[:, None], xhat, inv_std
-
-
-def _ln_columns_backward(dy, xhat, inv_std, scale):
-    d = xhat.shape[1]
-    dscale = (dy * xhat).sum(axis=(0, 2))
-    dshift = dy.sum(axis=(0, 2))
-    dxhat = dy * scale[:, None]
-    dx = inv_std * (
-        dxhat
-        - dxhat.mean(axis=1, keepdims=True)
-        - xhat * (dxhat * xhat).sum(axis=1, keepdims=True) / d
-    )
+def _normalize_rows_backward(dy, xhat, inv_std, scale):
+    """Gradients of ``xhat * scale + shift`` with respect to the rows, scale and shift."""
+    dscale = (dy * xhat).sum(axis=0)
+    dshift = dy.sum(axis=0)
+    dxhat = dy * scale
+    dx = dxhat - dxhat.mean(axis=1, keepdims=True)
+    dx -= xhat * ((dxhat * xhat).sum(axis=1, keepdims=True) / xhat.shape[1])
+    dx *= inv_std
     return dx, dscale, dshift
-
-
-def _pair_grad(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """einsum('nxt,nyt->xy', a, b) as one GEMM (the hot gradient contraction)."""
-    n, x, t = a.shape
-    y = b.shape[1]
-    return a.transpose(1, 0, 2).reshape(x, n * t) @ b.transpose(1, 0, 2).reshape(y, n * t).T
 
 
 @dataclass
 class _LayerCache:
-    x: np.ndarray
+    """What one mixer layer's backward reads."""
+
     xhat1: np.ndarray
     inv_std1: np.ndarray
     h1: np.ndarray
     cdf1: np.ndarray
     g1: np.ndarray
-    u: np.ndarray
     xhat2: np.ndarray
     inv_std2: np.ndarray
     h2: np.ndarray
@@ -198,7 +260,8 @@ class ActivationRecord:
 
     ``inputs`` is the dense input tensor, or for token input the pair
     ``(rows, inverse)``: the batch's distinct table rows and, per window
-    slot, each position's index into them.
+    slot, each position's index into them. ``bottleneck_out`` and
+    ``mixer_out`` are ``(N, b, s)`` views of the tokens-major stream.
     """
 
     inputs: np.ndarray | tuple[np.ndarray, np.ndarray]
@@ -208,6 +271,19 @@ class ActivationRecord:
     layers: list[_LayerCache] = field(default_factory=list)
     alpha: np.ndarray | None = None
     pooled: np.ndarray | None = None
+
+
+def _channels_first(stream: np.ndarray, n: int) -> np.ndarray:
+    """The ``(N, b, s)`` view of a tokens-major ``(N*s, b)`` stream."""
+    return stream.reshape(n, -1, stream.shape[1]).transpose(0, 2, 1)
+
+
+def _token_mlp_input(xhat: np.ndarray, scale: np.ndarray, shift: np.ndarray, n: int):
+    """``xhat * scale + shift`` written as the token MLP's ``(N*b, s)`` transposed copy."""
+    t = np.empty((n, xhat.shape[1], xhat.shape[0] // n), dtype=xhat.dtype)
+    np.multiply(_channels_first(xhat, n), scale[:, None], out=t)
+    t += shift[:, None]
+    return t.reshape(-1, t.shape[2])
 
 
 def _token_bottleneck(
@@ -226,12 +302,11 @@ def _token_bottleneck(
     inverse = inverse.reshape(windows.ids.shape)
     rows = windows.table[unique].astype(weight.dtype, copy=False)
     projected = [rows @ weight[:, j * m : (j + 1) * m].T for j in range(slots)]
-    acc = projected[0][inverse[:, 0]]
+    x = projected[0][inverse[:, 0]]
     for j in range(1, slots):
-        acc += projected[j][inverse[:, j]]
-    x = np.empty((n, weight.shape[0], s), dtype=acc.dtype)
-    np.add(acc.transpose(0, 2, 1), params["bottleneck.bias"][:, None], out=x)
-    return x, (rows, inverse)
+        x += projected[j][inverse[:, j]]
+    x += params["bottleneck.bias"]
+    return x.reshape(n * s, -1), (rows, inverse)
 
 
 def _token_bottleneck_weight_grad(
@@ -243,8 +318,6 @@ def _token_bottleneck_weight_grad(
     and are skipped. Each segment sum runs in a stable sorted order, so the
     result is deterministic.
     """
-    n, b, s = dx.shape
-    per_position = dx.transpose(0, 2, 1)
     skip_first = not rows[0].any()
     blocks = []
     for j in range(inverse.shape[1]):
@@ -252,11 +325,10 @@ def _token_bottleneck_weight_grad(
         live = np.flatnonzero(index) if skip_first else np.arange(index.size)
         order = live[np.argsort(index[live], kind="stable")]
         sorted_index = index[order]
-        per_row = np.zeros((len(rows), b), dtype=dx.dtype)
+        per_row = np.zeros((len(rows), dx.shape[1]), dtype=dx.dtype)
         if len(order):
             starts = np.flatnonzero(np.r_[True, sorted_index[1:] != sorted_index[:-1]])
-            gathered = per_position[order // s, order % s]
-            per_row[sorted_index[starts]] = np.add.reduceat(gathered, starts, axis=0)
+            per_row[sorted_index[starts]] = np.add.reduceat(dx[order], starts, axis=0)
         blocks.append(per_row.T @ rows)
     return np.concatenate(blocks, axis=1)
 
@@ -270,62 +342,75 @@ def forward_batch(
     """Run the network on a dense (batch, input_rows, seq_len) tensor or on token windows."""
     if isinstance(inputs, TokenWindows):
         x, saved = _token_bottleneck(inputs, params, cfg)
+        n = inputs.ids.shape[0]
     else:
         if inputs.ndim != 3 or inputs.shape[1:] != (cfg.input_rows, cfg.seq_len):
             raise ValueError(
                 f"input shape {inputs.shape} does not match "
                 f"(batch, {cfg.input_rows}, {cfg.seq_len})"
             )
-        x = params["bottleneck.weight"] @ inputs + params["bottleneck.bias"][:, None]
+        n = inputs.shape[0]
+        x = np.matmul(inputs.transpose(0, 2, 1), params["bottleneck.weight"].T)
+        x = x.reshape(n * cfg.seq_len, cfg.bottleneck)
+        x += params["bottleneck.bias"]
         saved = inputs
-    record = ActivationRecord(
-        inputs=saved, valid_lens=np.asarray(valid_lens), bottleneck_out=x, mixer_out=x
-    )
+    s, b = cfg.seq_len, cfg.bottleneck
+    bottleneck_out = _channels_first(x, n)
+    record = ActivationRecord(inputs=saved, valid_lens=np.asarray(valid_lens),
+                              bottleneck_out=bottleneck_out, mixer_out=bottleneck_out)
 
     for k in range(cfg.depth):
         prefix = f"mixer.{k}"
-        n1, xhat1, inv_std1 = _ln_columns(
-            x, params[f"{prefix}.norm1.scale"], params[f"{prefix}.norm1.shift"]
-        )
-        h1 = params[f"{prefix}.token_mlp.w1"] @ n1.swapaxes(1, 2)
-        h1 += params[f"{prefix}.token_mlp.b1"][:, None]
+        # token-mixing branch on the (N*b, s) transpose of ln1(x)
+        xhat1, inv_std1 = _normalize_rows(x)
+        t1 = _token_mlp_input(xhat1, params[f"{prefix}.norm1.scale"],
+                              params[f"{prefix}.norm1.shift"], n)
+        h1 = t1 @ params[f"{prefix}.token_mlp.w1"].T
+        h1 += params[f"{prefix}.token_mlp.b1"]
         cdf1 = normal_cdf(h1)
         g1 = h1 * cdf1
-        m1 = params[f"{prefix}.token_mlp.w2"] @ g1 + params[f"{prefix}.token_mlp.b2"][:, None]
-        u = x + m1.swapaxes(1, 2)
+        m1 = g1 @ params[f"{prefix}.token_mlp.w2"].T
+        m1 += params[f"{prefix}.token_mlp.b2"]
+        u = np.empty_like(x)
+        np.add(x.reshape(n, s, b), m1.reshape(n, b, s).transpose(0, 2, 1),
+               out=u.reshape(n, s, b))
 
-        n2, xhat2, inv_std2 = _ln_columns(
-            u, params[f"{prefix}.norm2.scale"], params[f"{prefix}.norm2.shift"]
-        )
-        h2 = params[f"{prefix}.channel_mlp.w1"] @ n2
-        h2 += params[f"{prefix}.channel_mlp.b1"][:, None]
+        # channel-mixing branch: y = u + gelu(ln2(u) @ w1c.T) @ w2c.T
+        xhat2, inv_std2 = _normalize_rows(u)
+        n2 = xhat2 * params[f"{prefix}.norm2.scale"]
+        n2 += params[f"{prefix}.norm2.shift"]
+        h2 = n2 @ params[f"{prefix}.channel_mlp.w1"].T
+        h2 += params[f"{prefix}.channel_mlp.b1"]
         cdf2 = normal_cdf(h2)
         g2 = h2 * cdf2
-        m2 = params[f"{prefix}.channel_mlp.w2"] @ g2 + params[f"{prefix}.channel_mlp.b2"][:, None]
-        y = u + m2
+        y = g2 @ params[f"{prefix}.channel_mlp.w2"].T
+        y += params[f"{prefix}.channel_mlp.b2"]
+        y += u
 
         record.layers.append(
-            _LayerCache(x=x, xhat1=xhat1, inv_std1=inv_std1, h1=h1, cdf1=cdf1, g1=g1,
-                        u=u, xhat2=xhat2, inv_std2=inv_std2, h2=h2, cdf2=cdf2, g2=g2)
+            _LayerCache(xhat1=xhat1, inv_std1=inv_std1, h1=h1, cdf1=cdf1, g1=g1,
+                        xhat2=xhat2, inv_std2=inv_std2, h2=h2, cdf2=cdf2, g2=g2)
         )
         x = y
 
-    record.mixer_out = x
+    record.mixer_out = _channels_first(x, n)
 
     if cfg.head == "token":
-        logits = params["head.weight"] @ x + params["head.bias"][:, None]
-        return logits, record
+        logits = x @ params["head.weight"].T
+        logits += params["head.bias"]
+        return _channels_first(logits, n), record
 
     valid = record.valid_lens
     if np.any(valid < 1):
         raise ValueError("pooled head needs at least one valid position per example")
-    mask = np.arange(cfg.seq_len)[None, :] < valid[:, None]
-    scores = np.einsum("b,nbs->ns", params["head.query"], x)
+    x3 = x.reshape(n, s, b)
+    mask = np.arange(s)[None, :] < valid[:, None]
+    scores = x3 @ params["head.query"]
     scores = np.where(mask, scores, -np.inf)
     scores -= scores.max(axis=1, keepdims=True)
     exps = np.where(mask, np.exp(scores), 0.0)
     alpha = exps / exps.sum(axis=1, keepdims=True)
-    pooled = np.einsum("nbs,ns->nb", x, alpha)
+    pooled = np.matmul(alpha[:, None, :], x3)[:, 0]
     logits = pooled @ params["head.weight"].T + params["head.bias"]
     record.alpha = alpha
     record.pooled = pooled
@@ -344,22 +429,26 @@ def backward_batch(
     if token_input and want_input_grad:
         raise ValueError("token input has no input gradient; pass want_input_grad=False")
     grads: ModelParams = {}
-    o = record.mixer_out
+    n, b, s = record.mixer_out.shape
+    o = record.mixer_out.transpose(0, 2, 1).reshape(n * s, b)  # the stream itself, no copy
 
     if cfg.head == "token":
-        grads["head.weight"] = _pair_grad(upstream, o)
-        grads["head.bias"] = upstream.sum(axis=(0, 2))
-        dx = params["head.weight"].T @ upstream
+        up = upstream.transpose(0, 2, 1).reshape(n * s, -1)
+        grads["head.weight"] = up.T @ o
+        grads["head.bias"] = up.sum(axis=0)
+        dx = up @ params["head.weight"]
     else:
         alpha, pooled = record.alpha, record.pooled
+        o3 = o.reshape(n, s, b)
         grads["head.weight"] = upstream.T @ pooled
         grads["head.bias"] = upstream.sum(axis=0)
         dpooled = upstream @ params["head.weight"]
-        dx = dpooled[:, :, None] * alpha[:, None, :]
-        dalpha = np.einsum("nbs,nb->ns", o, dpooled)
+        dalpha = np.matmul(o3, dpooled[:, :, None])[:, :, 0]
         dscores = alpha * (dalpha - (alpha * dalpha).sum(axis=1, keepdims=True))
-        grads["head.query"] = np.einsum("ns,nbs->b", dscores, o)
-        dx += params["head.query"][None, :, None] * dscores[:, None, :]
+        grads["head.query"] = dscores.reshape(-1) @ o
+        dx3 = alpha[:, :, None] * dpooled[:, None, :]
+        dx3 += dscores[:, :, None] * params["head.query"]
+        dx = dx3.reshape(n * s, b)
 
     for k in reversed(range(cfg.depth)):
         prefix = f"mixer.{k}"
@@ -369,72 +458,45 @@ def backward_batch(
         w2t = params[f"{prefix}.token_mlp.w2"]
         w1t = params[f"{prefix}.token_mlp.w1"]
 
-        # channel-mixing branch: y = u + w2c @ gelu(w1c @ ln2(u))
-        n2 = params[f"{prefix}.norm2.scale"][:, None] * cache.xhat2
-        n2 += params[f"{prefix}.norm2.shift"][:, None]
-        dm2 = dx
-        grads[f"{prefix}.channel_mlp.w2"] = _pair_grad(dm2, cache.g2)
-        grads[f"{prefix}.channel_mlp.b2"] = dm2.sum(axis=(0, 2))
-        dg2 = w2c.T @ dm2
-        dh2 = dg2 * gelu_grad(cache.h2, cache.cdf2)
-        grads[f"{prefix}.channel_mlp.w1"] = _pair_grad(dh2, n2)
-        grads[f"{prefix}.channel_mlp.b1"] = dh2.sum(axis=(0, 2))
-        dn2 = w1c.T @ dh2
-        du_norm, dscale2, dshift2 = _ln_columns_backward(
-            dn2, cache.xhat2, cache.inv_std2, params[f"{prefix}.norm2.scale"]
+        # channel-mixing branch: y = u + gelu(ln2(u) @ w1c.T) @ w2c.T
+        n2 = cache.xhat2 * params[f"{prefix}.norm2.scale"]
+        n2 += params[f"{prefix}.norm2.shift"]
+        grads[f"{prefix}.channel_mlp.w2"] = dx.T @ cache.g2
+        grads[f"{prefix}.channel_mlp.b2"] = dx.sum(axis=0)
+        dh2 = dx @ w2c
+        dh2 *= gelu_grad(cache.h2, cache.cdf2)
+        grads[f"{prefix}.channel_mlp.w1"] = dh2.T @ n2
+        grads[f"{prefix}.channel_mlp.b1"] = dh2.sum(axis=0)
+        du, grads[f"{prefix}.norm2.scale"], grads[f"{prefix}.norm2.shift"] = (
+            _normalize_rows_backward(dh2 @ w1c, cache.xhat2, cache.inv_std2,
+                                     params[f"{prefix}.norm2.scale"])
         )
-        grads[f"{prefix}.norm2.scale"] = dscale2
-        grads[f"{prefix}.norm2.shift"] = dshift2
-        du = dx + du_norm
+        du += dx
 
-        # token-mixing branch: u = x + (w2t @ gelu(w1t @ ln1(x)^T))^T
-        t1 = (params[f"{prefix}.norm1.scale"][:, None] * cache.xhat1
-              + params[f"{prefix}.norm1.shift"][:, None]).swapaxes(1, 2)
-        dm1 = du.swapaxes(1, 2)
-        grads[f"{prefix}.token_mlp.w2"] = _pair_grad(dm1, cache.g1)
-        grads[f"{prefix}.token_mlp.b2"] = dm1.sum(axis=(0, 2))
-        dg1 = w2t.T @ dm1
-        dh1 = dg1 * gelu_grad(cache.h1, cache.cdf1)
-        grads[f"{prefix}.token_mlp.w1"] = _pair_grad(dh1, t1)
-        grads[f"{prefix}.token_mlp.b1"] = dh1.sum(axis=(0, 2))
-        dn1 = (w1t.T @ dh1).swapaxes(1, 2)
-        dx_norm, dscale1, dshift1 = _ln_columns_backward(
-            dn1, cache.xhat1, cache.inv_std1, params[f"{prefix}.norm1.scale"]
+        # token-mixing branch: u = x + transpose(gelu(t1 @ w1t.T) @ w2t.T), t1 = ln1(x) transposed
+        dm1 = _channels_first(du, n).reshape(n * b, s)
+        grads[f"{prefix}.token_mlp.w2"] = dm1.T @ cache.g1
+        grads[f"{prefix}.token_mlp.b2"] = dm1.sum(axis=0)
+        dh1 = dm1 @ w2t
+        dh1 *= gelu_grad(cache.h1, cache.cdf1)
+        t1 = _token_mlp_input(cache.xhat1, params[f"{prefix}.norm1.scale"],
+                              params[f"{prefix}.norm1.shift"], n)
+        grads[f"{prefix}.token_mlp.w1"] = dh1.T @ t1
+        grads[f"{prefix}.token_mlp.b1"] = dh1.sum(axis=0)
+        dt1 = (dh1 @ w1t).reshape(n, b, s).transpose(0, 2, 1).reshape(n * s, b)
+        dx, grads[f"{prefix}.norm1.scale"], grads[f"{prefix}.norm1.shift"] = (
+            _normalize_rows_backward(dt1, cache.xhat1, cache.inv_std1,
+                                     params[f"{prefix}.norm1.scale"])
         )
-        grads[f"{prefix}.norm1.scale"] = dscale1
-        grads[f"{prefix}.norm1.shift"] = dshift1
-        dx = du + dx_norm
+        dx += du
 
     if token_input:
         grads["bottleneck.weight"] = _token_bottleneck_weight_grad(dx, *record.inputs)
     else:
-        grads["bottleneck.weight"] = _pair_grad(dx, record.inputs)
-    grads["bottleneck.bias"] = dx.sum(axis=(0, 2))
+        flat_inputs = record.inputs.transpose(0, 2, 1).reshape(n * s, cfg.input_rows)
+        grads["bottleneck.weight"] = dx.T @ flat_inputs
+    grads["bottleneck.bias"] = dx.sum(axis=0)
     input_grad = None
     if want_input_grad:
-        input_grad = params["bottleneck.weight"].T @ dx
+        input_grad = params["bottleneck.weight"].T @ _channels_first(dx, n)
     return grads, input_grad
-
-
-def forward(
-    matrix: FeatureMatrix, params: ModelParams, cfg: ModelConfig
-) -> tuple[np.ndarray, ActivationRecord]:
-    """Single-example forward; token head returns (labels, s) logits."""
-    logits, record = forward_batch(
-        matrix.data[None, :, :], np.array([matrix.valid_len]), params, cfg
-    )
-    return logits[0], record
-
-
-def backward(
-    record: ActivationRecord,
-    upstream: np.ndarray,
-    params: ModelParams,
-    cfg: ModelConfig,
-    want_input_grad: bool = True,
-) -> tuple[ModelParams, np.ndarray | None]:
-    """Single-example backward matching :func:`forward`."""
-    grads, input_grad = backward_batch(
-        record, upstream[None, ...], params, cfg, want_input_grad=want_input_grad
-    )
-    return grads, None if input_grad is None else input_grad[0]

@@ -109,7 +109,8 @@ def load_model(path: str) -> tuple[ModelParams, ModelConfig, bool]:
     """Read a model container; quantized tensors come back dequantized.
 
     Returns ``(params, config, was_quantized)``. Parameters are float64,
-    ready for the forward pass (fake quantization for int8 containers).
+    ready for the forward pass (fake quantization for int8 containers). A
+    float32 tensor holding NaN or infinity is a :class:`ModelFileError`.
     """
     try:
         with open(path, "rb") as fh:
@@ -148,6 +149,8 @@ def load_model(path: str) -> tuple[ModelParams, ModelConfig, bool]:
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
         if type_tag == TENSOR_FLOAT32:
             data = np.frombuffer(reader.take(4 * count), dtype="<f4")
+            if not np.isfinite(data).all():
+                raise ModelFileError(f"{path}: tensor {name} holds NaN or infinite values")
             params[name] = data.astype(np.float64).reshape(shape)
         elif type_tag == TENSOR_INT8:
             any_quantized = True

@@ -10,6 +10,7 @@ rows per window slot), never the dense projected input.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -302,7 +303,9 @@ def train(
 
     One epoch = one seeded shuffle of the training set, sequential Adam
     updates per batch, then a full validation pass. ``log_fn`` receives each
-    epoch's log entry as it is produced. Training math runs in ``dtype``
+    epoch's log entry as it is produced. A batch whose loss is NaN or
+    infinite stops training with :class:`DataError` naming the epoch and
+    the batch (both counted from 1). Training math runs in ``dtype``
     (float32 by default; initialization is computed in float64 and cast, so
     runs with equal seeds stay bit-identical).
     """
@@ -344,6 +347,9 @@ def train(
             logits, record = forward_batch(inputs, train_data.valid[batch], params, model_cfg)
             batch_labels = train_data.labels[batch]
             loss, dlogits = cross_entropy_masked(logits, batch_labels, head=head)
+            if not math.isfinite(loss):
+                batch_no = lo // train_cfg.batch_size + 1
+                raise DataError(f"epoch {epoch}, batch {batch_no}: training loss is {loss}")
             grads, _ = backward_batch(record, dlogits, params, model_cfg, want_input_grad=False)
             params, state = adam_step(params, grads, state, train_cfg)
             counted = int((batch_labels != IGNORE_LABEL).sum())

@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from hashmixer.cli import run
-from hashmixer.data import synth_dataset
-from hashmixer.model_io import MODEL_MAGIC, load_features, save_features
+from hashmixer.model_io import MODEL_MAGIC, load_features, load_model, save_features, save_model
 from hashmixer.projection import (
     FeatureMatrix,
     ProjectionConfig,
@@ -20,6 +19,8 @@ from hashmixer.projection import (
     token_feature,
 )
 from hashmixer.vocab import load_vocab
+
+from conftest import synth_dataset
 
 
 @pytest.fixture(scope="module")
@@ -109,10 +110,10 @@ class TestTrainEvalPredictQuantize:
         assert report["value"] == pytest.approx(best, abs=1e-9)
 
     def test_config_echo_reloads_identically(self, trained, workspace):
-        from hashmixer.config import load_run_config
+        from hashmixer.config import build_run_config
 
-        echoed = load_run_config(os.path.join(trained, "config.json"))
-        original = load_run_config(workspace["config"])
+        echoed = build_run_config(path=os.path.join(trained, "config.json"))
+        original = build_run_config(path=workspace["config"])
         assert echoed.projection == original.projection
         assert echoed.train == original.train
         assert echoed.num_labels == 5
@@ -199,6 +200,16 @@ class TestTrainEvalPredictQuantize:
             assert code == 2
             assert message in capsys.readouterr().err
 
+    def test_predict_rejects_non_finite_weight(self, trained, workspace, tmp_path, capsys):
+        params, cfg, _ = load_model(os.path.join(trained, "model.bin"))
+        params["mixer.0.channel_mlp.w1"][3, 1] = np.nan
+        path = str(tmp_path / "nan.bin")
+        save_model(path, params, cfg)
+        code = run(["predict", "--model", path, "--config", workspace["config"],
+                    "--labels", os.path.join(trained, "labels.json"), "--text", "a b", "--quiet"])
+        assert code == 2
+        assert "mixer.0.channel_mlp.w1 holds NaN or infinite values" in capsys.readouterr().err
+
     def test_predict_rejects_mismatched_labels(self, trained, workspace, tmp_path, capsys):
         model = os.path.join(trained, "model.bin")
         with open(os.path.join(trained, "labels.json"), encoding="utf-8") as fh:
@@ -271,6 +282,16 @@ class TestExitCodes:
         bad = tmp_path / "empty-val.json"
         bad.write_text(json.dumps(config), encoding="utf-8")
         assert run(["train", "--config", str(bad), "--quiet"]) == 2
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_diverging_training_is_data_error(self, workspace, tmp_path, capsys):
+        config = json.load(open(workspace["config"], encoding="utf-8"))
+        config["train"]["learning_rate"] = 1e10
+        config["paths"]["out_dir"] = str(tmp_path / "run")
+        bad = tmp_path / "diverge.json"
+        bad.write_text(json.dumps(config), encoding="utf-8")
+        assert run(["train", "--config", str(bad), "--quiet"]) == 2
+        assert "epoch 1, batch 2: training loss is nan" in capsys.readouterr().err
 
     def test_cache_hash_count_mismatch_is_data_error(self, workspace, tmp_path):
         cache_path = str(tmp_path / "c8.bin")

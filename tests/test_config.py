@@ -5,7 +5,6 @@ import pytest
 from hashmixer.config import (
     PRESETS,
     build_run_config,
-    load_run_config,
     save_run_config,
 )
 from hashmixer.errors import DataError
@@ -85,4 +84,4 @@ class TestBuildRunConfig:
         )
         path = str(tmp_path / "echo.json")
         save_run_config(cfg, path)
-        assert load_run_config(path) == cfg
+        assert build_run_config(path=path) == cfg

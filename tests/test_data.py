@@ -7,10 +7,11 @@ from hashmixer.data import (
     import_multiatis,
     load_jsonl,
     save_jsonl,
-    synth_dataset,
     synth_examples,
 )
 from hashmixer.errors import DataError
+
+from conftest import synth_dataset
 
 
 class TestExample:

@@ -4,21 +4,49 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erf
 
 from hashmixer.mixer import (
+    ERF_BLOCK,
     ModelConfig,
-    backward,
+    _normalize_rows,
     backward_batch,
     count_parameters,
-    forward,
     forward_batch,
-    gelu,
+    gelu_grad,
     init_params,
-    layer_norm,
+    normal_cdf,
     param_shapes,
 )
 from hashmixer.projection import FeatureMatrix, TokenWindows
 from hashmixer.training import cross_entropy_masked
+
+
+def forward(matrix, params, cfg):
+    """Single-example forward through ``forward_batch``; token head returns (labels, s)."""
+    logits, record = forward_batch(
+        matrix.data[None, :, :], np.array([matrix.valid_len]), params, cfg
+    )
+    return logits[0], record
+
+
+def backward(record, upstream, params, cfg, want_input_grad=True):
+    """Single-example backward matching :func:`forward`."""
+    grads, input_grad = backward_batch(
+        record, upstream[None, ...], params, cfg, want_input_grad=want_input_grad
+    )
+    return grads, None if input_grad is None else input_grad[0]
+
+
+def gelu(x):
+    """Exact GELU as the network computes it: x * Phi(x)."""
+    return x * normal_cdf(x)
+
+
+def layer_norm(v, scale, shift):
+    """One vector through the network's row normalization, then the affine."""
+    xhat, _ = _normalize_rows(v[None, :])
+    return xhat[0] * scale + shift
 
 
 def small_cfg(head="token", depth=2, num_labels=5):
@@ -116,6 +144,68 @@ class TestGelu:
         for x in (-2.5, -1.0, 0.3, 1.0, 4.2):
             expected = x * 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
             assert abs(float(gelu(np.array(x))) - expected) < 1e-12
+
+
+class TestFloat32Gelu:
+    """float32 takes the blocked rational erf; float64 stays on scipy's erf."""
+
+    CDF_TOL = 4e-7
+
+    @staticmethod
+    def exact_cdf(x32):
+        return np.array([0.5 * (1.0 + math.erf(float(v) / math.sqrt(2.0))) for v in x32])
+
+    def test_cdf_matches_stdlib_erf_on_a_dense_grid(self):
+        x = np.linspace(-10.0, 10.0, 400_001, dtype=np.float32)
+        cdf = normal_cdf(x)
+        assert cdf.dtype == np.float32
+        assert np.abs(cdf - self.exact_cdf(x)).max() <= self.CDF_TOL
+
+    def test_infinities_and_nan(self):
+        cdf = normal_cdf(np.array([np.inf, -np.inf, np.nan, 0.0], dtype=np.float32))
+        assert cdf[0] == 1.0 and cdf[1] == 0.0 and np.isnan(cdf[2]) and cdf[3] == 0.5
+        grad = gelu_grad(np.array([np.nan], dtype=np.float32))
+        assert np.isnan(grad[0])
+
+    def test_zero_d_input(self):
+        x = np.array(0.8, dtype=np.float32)
+        cdf = normal_cdf(x)
+        assert cdf.shape == () and cdf.dtype == np.float32
+        assert abs(float(cdf) - self.exact_cdf([x])[0]) <= self.CDF_TOL
+        assert gelu_grad(x).shape == ()
+
+    def test_non_contiguous_input(self, rng):
+        x = rng.normal(scale=3.0, size=(40, 30)).astype(np.float32)
+        view = x.T[::2]
+        assert not view.flags.c_contiguous
+        assert np.array_equal(normal_cdf(view), normal_cdf(np.ascontiguousarray(view)))
+        cdf = normal_cdf(view)
+        assert np.array_equal(gelu_grad(view, cdf), gelu_grad(np.ascontiguousarray(view), cdf))
+
+    @pytest.mark.parametrize("size", [0, 1, ERF_BLOCK - 1, ERF_BLOCK + 1, 2 * ERF_BLOCK + 17])
+    def test_block_boundaries_do_not_matter(self, size, rng):
+        x = rng.normal(scale=3.0, size=size).astype(np.float32)
+        cdf = normal_cdf(x)
+        grad = gelu_grad(x, cdf)
+        assert cdf.shape == grad.shape == (size,)
+        cut = size // 3  # pieces that do not start on a block boundary
+        assert np.array_equal(cdf, np.concatenate([normal_cdf(x[:cut]), normal_cdf(x[cut:])]))
+        assert np.array_equal(grad, np.concatenate([gelu_grad(x[:cut], cdf[:cut]),
+                                                    gelu_grad(x[cut:], cdf[cut:])]))
+        if size:
+            assert np.abs(cdf - self.exact_cdf(x)).max() <= self.CDF_TOL
+
+    def test_gelu_grad_matches_float64_formula(self):
+        x = np.linspace(-10.0, 10.0, 100_001, dtype=np.float32)
+        x64 = x.astype(np.float64)
+        expected = normal_cdf(x64) + x64 * np.exp(-0.5 * x64 * x64) / math.sqrt(2.0 * math.pi)
+        for grad in (gelu_grad(x), gelu_grad(x, normal_cdf(x))):
+            assert grad.dtype == np.float32
+            assert np.abs(grad - expected).max() <= 1e-6
+
+    def test_float64_cdf_is_scipy_erf(self, rng):
+        x = rng.normal(scale=4.0, size=10_000)
+        assert np.array_equal(normal_cdf(x), 0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0)))))
 
 
 class TestLayerNorm:
@@ -373,6 +463,31 @@ class TestTokenInput:
         params = init_params(token_cfg(0, "token"), seed=3)
         with pytest.raises(ValueError):
             forward_batch(windows, valid, params, token_cfg(0, "token"))
+
+
+class TestFloat32Network:
+    """float32 (blocked rational erf) against float64 (scipy erf) on the same parameters."""
+
+    @pytest.mark.parametrize("head", ["token", "pooled"])
+    @pytest.mark.parametrize("form", ["dense", "token"])
+    def test_within_1e4_of_float64(self, head, form, rng):
+        windows, dense, valid = token_case(rng, 1, distinct=False)
+        cfg = token_cfg(1, head)
+        params32 = {k: p.astype(np.float32) for k, p in init_params(cfg, seed=8).items()}
+        params64 = {k: p.astype(np.float64) for k, p in params32.items()}
+        labels = case_labels(head, valid)
+        if form == "token":
+            inputs32 = inputs64 = windows
+        else:
+            inputs32, inputs64 = dense, dense.astype(np.float64)
+        logits32, grads32 = TestTokenInput.run(inputs32, valid, labels, params32, cfg)
+        logits64, grads64 = TestTokenInput.run(inputs64, valid, labels, params64, cfg)
+        assert logits32.dtype == np.float32 and logits64.dtype == np.float64
+        assert np.abs(logits32 - logits64).max() <= 1e-4 * np.abs(logits64).max()
+        for name in grads64:
+            assert grads32[name].dtype == np.float32, name
+            scale = np.abs(grads64[name]).max()
+            assert np.abs(grads32[name] - grads64[name]).max() <= 1e-4 * scale, name
 
 
 class TestParameterCounts:

@@ -97,6 +97,15 @@ class TestModelContainer:
         with pytest.raises(ModelFileError, match="UTF-8"):
             load_model(str(path))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_float32_tensor_rejected(self, cfg, tmp_path, value):
+        params = init_params(cfg, seed=6)
+        params["head.bias"][2] = value
+        path = str(tmp_path / "model.bin")
+        save_model(path, params, cfg)
+        with pytest.raises(ModelFileError, match="head.bias holds NaN or infinite values"):
+            load_model(path)
+
     def test_trailing_bytes_rejected(self, cfg, tmp_path):
         path = tmp_path / "model.bin"
         save_model(str(path), init_params(cfg, seed=6), cfg)

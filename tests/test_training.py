@@ -7,6 +7,7 @@ from hashmixer.data import synth_examples
 from hashmixer.errors import DataError
 from hashmixer.mixer import ModelConfig, backward_batch, forward_batch, init_params
 from hashmixer.projection import ProjectionConfig, SequenceFeaturizer, TokenWindows
+from hashmixer import training
 from hashmixer.training import (
     IGNORE_LABEL,
     OptimizerState,
@@ -258,6 +259,31 @@ class TestTrainLoop:
         assert report["value"] <= 1.0 - len(odd.tokens) / sum(
             len(ex.slot_labels) for ex in [odd] + task.val[1:5]
         )
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_diverging_loss_stops_training(self, small_task):
+        # Adam moves every weight by about the learning rate, so the second
+        # batch overflows float32 and its loss is NaN
+        task, vocab, proj = small_task
+        tc = TrainConfig(learning_rate=1e10, batch_size=128, epochs=2, seed=5)
+        with pytest.raises(DataError, match="epoch 1, batch 2: training loss is nan"):
+            train(task.train, task.val, vocab, proj, tc,
+                  bottleneck=16, hidden=32, depth=1, head="token")
+
+    def test_infinite_loss_stops_training(self, small_task, monkeypatch):
+        task, vocab, proj = small_task
+        calls = []
+
+        def overflowing(logits, labels, head="token"):
+            loss, grad = cross_entropy_masked(logits, labels, head=head)
+            calls.append(loss)
+            return (math.inf if len(calls) == 6 else loss), grad
+
+        monkeypatch.setattr(training, "cross_entropy_masked", overflowing)
+        tc = TrainConfig(learning_rate=1e-3, batch_size=128, epochs=3, seed=5)
+        with pytest.raises(DataError, match="epoch 2, batch 2: training loss is inf"):
+            train(task.train, task.val, vocab, proj, tc,
+                  bottleneck=16, hidden=32, depth=1, head="token")
 
     def test_empty_split_rejected(self, small_task):
         task, vocab, proj = small_task
