@@ -23,7 +23,6 @@ from .training import (
     adam_step,
     cross_entropy_masked,
     exact_match_accuracy,
-    intent_accuracy,
     train,
 )
 from .vocab import Vocabulary, load_vocab, pre_tokenize, tokenize_word

@@ -239,14 +239,8 @@ def _parse_field_map(raw: str) -> dict:
     return field_map
 
 
-def _cmd_import_mtop(args) -> int:
-    summary = import_mtop(args.input, _parse_field_map(args.field_map), args.output)
-    print(json.dumps({k: summary[k] for k in ("examples", "skipped", "labels")}))
-    return 0
-
-
-def _cmd_import_multiatis(args) -> int:
-    summary = import_multiatis(args.input, _parse_field_map(args.field_map), args.output)
+def _cmd_import(args) -> int:
+    summary = args.importer(args.input, _parse_field_map(args.field_map), args.output)
     print(json.dumps({k: summary[k] for k in ("examples", "skipped", "labels")}))
     return 0
 
@@ -325,7 +319,7 @@ def build_parser() -> _Parser:
                    help='JSON, e.g. {"tokens": 1, "slots": 2, "skip_header": false}')
     p.add_argument("-o", "--output", required=True)
     common(p)
-    p.set_defaults(func=_cmd_import_mtop)
+    p.set_defaults(func=_cmd_import, importer=import_mtop)
 
     p = sub.add_parser("import-multiatis", help="normalize an utterance/intent TSV to JSONL")
     p.add_argument("--input", required=True)
@@ -333,7 +327,7 @@ def build_parser() -> _Parser:
                    help='JSON, e.g. {"text": 1, "intent": 2, "skip_header": true}')
     p.add_argument("-o", "--output", required=True)
     common(p)
-    p.set_defaults(func=_cmd_import_multiatis)
+    p.set_defaults(func=_cmd_import, importer=import_multiatis)
 
     p = sub.add_parser("params", help="print the parameter count of a config")
     p.add_argument("--config", default=None)

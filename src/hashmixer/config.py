@@ -16,6 +16,9 @@ The document has flat key groups mirroring the config dataclasses::
 Named presets cover the five shipped model sizes; a config file overrides a
 preset, and command-line flags override both. ``model.input_rows``, when
 present, is checked against the projection-derived value rather than stored.
+A document that is not an object, an unknown group or key, or a value of the
+wrong type is a :class:`DataError` naming the key; ``null`` leaves a key at
+its default.
 """
 
 from __future__ import annotations
@@ -55,6 +58,23 @@ PRESETS: dict[str, dict] = {
 }
 
 
+def _field_types(cls) -> dict[str, type]:
+    return {f.name: type(f.default) for f in dataclasses.fields(cls)}
+
+
+_MODEL_TYPES = {"bottleneck": int, "hidden": int, "depth": int, "head": str, "num_labels": int}
+# document key -> RunConfig field
+_PATH_FIELDS = {"vocab": "vocab_path", "cache": "cache_path", "train_data": "train_data",
+                "val_data": "val_data", "out_dir": "out_dir"}
+# every key a document may hold, with the JSON type of its value
+_KEY_TYPES: dict[str, dict[str, type]] = {
+    "projection": _field_types(ProjectionConfig),
+    "model": {**_MODEL_TYPES, "input_rows": int},
+    "train": _field_types(TrainConfig),
+    "paths": dict.fromkeys(_PATH_FIELDS, str),
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     projection: ProjectionConfig = field(default_factory=ProjectionConfig)
@@ -87,35 +107,36 @@ class RunConfig:
     def to_document(self) -> dict:
         return {
             "projection": dataclasses.asdict(self.projection),
-            "model": {
-                "bottleneck": self.bottleneck,
-                "hidden": self.hidden,
-                "depth": self.depth,
-                "head": self.head,
-                "num_labels": self.num_labels,
-            },
+            "model": {key: getattr(self, key) for key in _MODEL_TYPES},
             "train": dataclasses.asdict(self.train),
-            "paths": {
-                "vocab": self.vocab_path,
-                "cache": self.cache_path,
-                "train_data": self.train_data,
-                "val_data": self.val_data,
-                "out_dir": self.out_dir,
-            },
+            "paths": {key: getattr(self, name) for key, name in _PATH_FIELDS.items()},
         }
 
 
-def _merge(base: dict, extra: dict) -> dict:
+def _merge(base: dict, extra, source: str) -> dict:
+    """``base`` updated with the non-null values of the document ``extra``, checked."""
+    if not isinstance(extra, dict):
+        raise DataError(f"{source}: a config document must be a JSON object")
+    unknown = set(extra) - set(_KEY_TYPES)
+    if unknown:
+        raise DataError(f"{source}: unknown config groups {sorted(unknown)}")
     out = {k: dict(v) for k, v in base.items()}
     for group, values in extra.items():
-        out.setdefault(group, {})
         if not isinstance(values, dict):
-            raise DataError(f"config group {group!r} must be an object")
-        out[group].update({k: v for k, v in values.items() if v is not None})
+            raise DataError(f"{source}: config group {group!r} must be an object")
+        for key, value in values.items():
+            expected = _KEY_TYPES[group].get(key)
+            if expected is None:
+                raise DataError(f"{source}: unknown config key {group}.{key}")
+            if value is None:
+                continue
+            # JSON has one number type, so an integer may stand for a float
+            typed = isinstance(value, (int, float) if expected is float else expected)
+            if isinstance(value, bool) or not typed:
+                raise DataError(f"{source}: config key {group}.{key} must be "
+                                f"{expected.__name__}, not {value!r}")
+            out[group][key] = value
     return out
-
-
-_GROUPS = ("projection", "model", "train", "paths")
 
 
 def build_run_config(
@@ -124,11 +145,11 @@ def build_run_config(
     overrides: dict | None = None,
 ) -> RunConfig:
     """Assemble a RunConfig from preset, file, and flag overrides (in that order)."""
-    document: dict = {g: {} for g in _GROUPS}
+    document: dict = {g: {} for g in _KEY_TYPES}
     if preset is not None:
         if preset not in PRESETS:
             raise ValueError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
-        document = _merge(document, PRESETS[preset])
+        document = _merge(document, PRESETS[preset], f"preset {preset}")
     if path is not None:
         try:
             with open(path, encoding="utf-8") as fh:
@@ -137,39 +158,27 @@ def build_run_config(
             raise DataError(f"cannot read config file {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: invalid JSON: {exc}") from exc
-        unknown = set(loaded) - set(_GROUPS)
-        if unknown:
-            raise DataError(f"{path}: unknown config groups {sorted(unknown)}")
-        document = _merge(document, loaded)
+        document = _merge(document, loaded, path)
     if overrides:
-        document = _merge(document, overrides)
+        document = _merge(document, overrides, "overrides")
     return _from_document(document)
 
 
 def _from_document(document: dict) -> RunConfig:
-    proj = ProjectionConfig(**document.get("projection", {}))
-    model = dict(document.get("model", {}))
+    proj = ProjectionConfig(**document["projection"])
+    model = dict(document["model"])
     declared_rows = model.pop("input_rows", None)
     if declared_rows is not None and declared_rows != proj.input_rows:
         raise DataError(
             f"model.input_rows = {declared_rows} contradicts the projection "
             f"((2*{proj.window}+1) * {proj.token_feature_len} = {proj.input_rows})"
         )
-    train = TrainConfig(**document.get("train", {}))
-    paths = document.get("paths", {})
+    paths = document["paths"]
     return RunConfig(
         projection=proj,
-        bottleneck=model.get("bottleneck", 256),
-        hidden=model.get("hidden", 256),
-        depth=model.get("depth", 2),
-        head=model.get("head", "token"),
-        num_labels=model.get("num_labels"),
-        train=train,
-        vocab_path=paths.get("vocab"),
-        cache_path=paths.get("cache"),
-        train_data=paths.get("train_data"),
-        val_data=paths.get("val_data"),
-        out_dir=paths.get("out_dir"),
+        train=TrainConfig(**document["train"]),
+        **model,
+        **{name: paths.get(key) for key, name in _PATH_FIELDS.items()},
     )
 
 

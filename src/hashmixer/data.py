@@ -38,6 +38,26 @@ class Example:
             )
 
 
+def gold_labels(examples: list[Example], field: str) -> list[list[str]]:
+    """Each example's gold label sequence, read from ``field``.
+
+    ``"slots"`` gives the slot labels; ``"label"`` gives the class label as
+    a one-label list, so both heads encode, score and count labels the same
+    way.
+    """
+    if field == "slots":
+        out, missing = [ex.slot_labels for ex in examples], "slot labels"
+    elif field == "label":
+        out = [None if ex.class_label is None else [ex.class_label] for ex in examples]
+        missing = "class label"
+    else:
+        raise ValueError(f"unknown label field {field!r}")
+    for i, gold in enumerate(out):
+        if gold is None:
+            raise DataError(f"example {i} has no {missing}")
+    return out
+
+
 @dataclass(frozen=True)
 class LabelInventory:
     """Ordered label strings fixed from the training split."""
@@ -47,21 +67,8 @@ class LabelInventory:
 
     @classmethod
     def from_examples(cls, examples: list[Example], field: str) -> "LabelInventory":
-        seen: dict[str, int] = {}
-        for i, ex in enumerate(examples):
-            if field == "slots":
-                if ex.slot_labels is None:
-                    raise DataError(f"example {i} has no slot labels")
-                values = ex.slot_labels
-            elif field == "label":
-                if ex.class_label is None:
-                    raise DataError(f"example {i} has no class label")
-                values = [ex.class_label]
-            else:
-                raise ValueError(f"unknown label field {field!r}")
-            for lab in values:
-                seen.setdefault(lab, len(seen))
-        labels = tuple(sorted(seen, key=seen.get))
+        # a dict keeps first-appearance order
+        labels = tuple(dict.fromkeys(lab for gold in gold_labels(examples, field) for lab in gold))
         return cls(labels=labels, index={lab: i for i, lab in enumerate(labels)})
 
 
@@ -124,23 +131,6 @@ def _parse_cell(cell: str) -> list[str]:
     return cell.split()
 
 
-def _read_rows(raw_path: str, field_map: dict):
-    delimiter = field_map.get("delimiter", "\t")
-    skip_header = bool(field_map.get("skip_header", False))
-    try:
-        fh = open(raw_path, encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read raw file {raw_path}: {exc}") from exc
-    with fh:
-        for rowno, line in enumerate(fh, start=1):
-            if skip_header and rowno == 1:
-                continue
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            yield rowno, line.split(delimiter)
-
-
 def import_mtop(raw_path: str, field_map: dict, out_path: str) -> dict:
     """Normalize a flat slot-tagging TSV into JSONL.
 
@@ -148,31 +138,13 @@ def import_mtop(raw_path: str, field_map: dict, out_path: str) -> dict:
     "slots": j}`` plus optional ``delimiter`` and ``skip_header``. Rows whose
     token and label counts disagree are skipped and counted.
     """
-    tok_col, slot_col = field_map["tokens"], field_map["slots"]
-    examples: list[Example] = []
-    skipped: list[int] = []
-    labels: set[str] = set()
-    for rowno, cells in _read_rows(raw_path, field_map):
-        if len(cells) <= max(tok_col, slot_col):
-            raise DataError(f"{raw_path}:{rowno}: expected at least {max(tok_col, slot_col) + 1} columns")
-        try:
-            tokens = _parse_cell(cells[tok_col])
-            slots = _parse_cell(cells[slot_col])
-        except (ValueError, json.JSONDecodeError) as exc:
-            raise DataError(f"{raw_path}:{rowno}: {exc}") from exc
+    def parse(tokens_cell: str, slots_cell: str) -> Example | None:
+        tokens, slots = _parse_cell(tokens_cell), _parse_cell(slots_cell)
         if not tokens or len(tokens) != len(slots):
-            skipped.append(rowno)
-            continue
-        labels.update(slots)
-        examples.append(Example(tokens=tokens, slot_labels=slots))
-    save_jsonl(examples, out_path)
-    return {
-        "path": out_path,
-        "examples": len(examples),
-        "skipped": len(skipped),
-        "skipped_rows": skipped,
-        "labels": len(labels),
-    }
+            return None
+        return Example(tokens=tokens, slot_labels=slots)
+
+    return _import_rows(raw_path, field_map, out_path, ("tokens", "slots"), "slots", parse)
 
 
 def import_multiatis(raw_path: str, field_map: dict, out_path: str) -> dict:
@@ -181,27 +153,55 @@ def import_multiatis(raw_path: str, field_map: dict, out_path: str) -> dict:
     ``field_map``: ``{"text": i, "intent": j}`` plus optional ``delimiter``
     and ``skip_header``.
     """
-    text_col, intent_col = field_map["text"], field_map["intent"]
+    def parse(text_cell: str, intent_cell: str) -> Example | None:
+        tokens, intent = text_cell.split(), intent_cell.strip()
+        if not tokens or not intent:
+            return None
+        return Example(tokens=tokens, class_label=intent)
+
+    return _import_rows(raw_path, field_map, out_path, ("text", "intent"), "label", parse)
+
+
+def _import_rows(raw_path: str, field_map: dict, out_path: str, columns: tuple[str, str],
+                 field: str, parse) -> dict:
+    """The importers' shared loop; writes the JSONL and returns the import summary.
+
+    ``parse`` turns a row's two cells named by ``columns`` into an example
+    labeled in ``field``, or returns ``None`` to skip the row.
+    """
+    cols = [field_map[name] for name in columns]
+    width = max(cols) + 1
+    delimiter = field_map.get("delimiter", "\t")
+    skip_header = bool(field_map.get("skip_header", False))
+    try:
+        fh = open(raw_path, encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot read raw file {raw_path}: {exc}") from exc
     examples: list[Example] = []
     skipped: list[int] = []
-    labels: set[str] = set()
-    for rowno, cells in _read_rows(raw_path, field_map):
-        if len(cells) <= max(text_col, intent_col):
-            raise DataError(f"{raw_path}:{rowno}: expected at least {max(text_col, intent_col) + 1} columns")
-        tokens = cells[text_col].split()
-        intent = cells[intent_col].strip()
-        if not tokens or not intent:
-            skipped.append(rowno)
-            continue
-        labels.add(intent)
-        examples.append(Example(tokens=tokens, class_label=intent))
+    with fh:
+        for rowno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line or (skip_header and rowno == 1):
+                continue
+            cells = line.split(delimiter)
+            if len(cells) < width:
+                raise DataError(f"{raw_path}:{rowno}: expected at least {width} columns")
+            try:
+                example = parse(*(cells[c] for c in cols))
+            except ValueError as exc:  # includes a malformed JSON array cell
+                raise DataError(f"{raw_path}:{rowno}: {exc}") from exc
+            if example is None:
+                skipped.append(rowno)
+            else:
+                examples.append(example)
     save_jsonl(examples, out_path)
     return {
         "path": out_path,
         "examples": len(examples),
         "skipped": len(skipped),
         "skipped_rows": skipped,
-        "labels": len(labels),
+        "labels": len({lab for gold in gold_labels(examples, field) for lab in gold}),
     }
 
 

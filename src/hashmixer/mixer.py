@@ -422,12 +422,12 @@ def backward_batch(
     upstream: np.ndarray,
     params: ModelParams,
     cfg: ModelConfig,
-    want_input_grad: bool = True,
 ) -> tuple[ModelParams, np.ndarray | None]:
-    """Exact gradients of all parameters (and optionally the dense input tensor)."""
+    """Exact gradients of all parameters, and of the input when it is a dense tensor.
+
+    Token-window input has no input gradient: the second value is ``None``.
+    """
     token_input = isinstance(record.inputs, tuple)
-    if token_input and want_input_grad:
-        raise ValueError("token input has no input gradient; pass want_input_grad=False")
     grads: ModelParams = {}
     n, b, s = record.mixer_out.shape
     o = record.mixer_out.transpose(0, 2, 1).reshape(n * s, b)  # the stream itself, no copy
@@ -496,7 +496,6 @@ def backward_batch(
         flat_inputs = record.inputs.transpose(0, 2, 1).reshape(n * s, cfg.input_rows)
         grads["bottleneck.weight"] = dx.T @ flat_inputs
     grads["bottleneck.bias"] = dx.sum(axis=0)
-    input_grad = None
-    if want_input_grad:
-        input_grad = params["bottleneck.weight"].T @ _channels_first(dx, n)
-    return grads, input_grad
+    if token_input:
+        return grads, None
+    return grads, params["bottleneck.weight"].T @ _channels_first(dx, n)

@@ -84,12 +84,14 @@ def _write_tensor_header(fh, name: str, type_tag: int, shape: tuple[int, ...]) -
 
 
 class _Reader:
+    """Sequential reads over a file's bytes; each read is a view, not a copy."""
+
     def __init__(self, blob: bytes, path: str) -> None:
-        self.blob = blob
+        self.blob = memoryview(blob)
         self.path = path
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.blob):
             raise ModelFileError(f"{self.path}: truncated file")
         out = self.blob[self.pos : self.pos + n]
@@ -141,7 +143,7 @@ def load_model(path: str) -> tuple[ModelParams, ModelConfig, bool]:
     for _ in range(tensor_count):
         (name_len,) = reader.unpack("<H")
         try:
-            name = reader.take(name_len).decode("utf-8")
+            name = str(reader.take(name_len), "utf-8")
         except UnicodeDecodeError as exc:
             raise ModelFileError(f"{path}: tensor name is not valid UTF-8: {exc}") from exc
         type_tag, rank = reader.unpack("<BB")
@@ -216,6 +218,7 @@ def save_features(
 
 
 def load_features(path: str) -> list[FeatureMatrix]:
+    """Read a feature dump; each matrix is a read-only float32 view of the file's bytes."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -230,8 +233,7 @@ def load_features(path: str) -> list[FeatureMatrix]:
     out = []
     for _ in range(count):
         (valid_len,) = reader.unpack("<I")
-        data = np.frombuffer(reader.take(4 * rows * cols), dtype="<f4")
-        out.append(FeatureMatrix(data=data.astype(np.float64).reshape(rows, cols),
-                                 valid_len=valid_len))
+        data = np.frombuffer(reader.take(4 * rows * cols), dtype="<f4").reshape(rows, cols)
+        out.append(FeatureMatrix(data=data, valid_len=valid_len))
     reader.finish()
     return out

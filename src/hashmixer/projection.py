@@ -204,9 +204,6 @@ def binary_feature(units: list[SubwordUnit], family: HashFamily, m: int) -> np.n
     return bitmap
 
 
-_TSP_TABLE = {(0.0, 0.0): 0.0, (0.0, 1.0): 1.0, (1.0, 0.0): -1.0, (1.0, 1.0): 0.0}
-
-
 def tsp_feature(units: list[SubwordUnit], family: HashFamily, m: int) -> np.ndarray:
     """Ternary feature: map consecutive bitmap bit pairs to {-1, 0, +1}."""
     if m % 2 != 0:

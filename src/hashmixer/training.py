@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Example, LabelInventory
+from .data import Example, LabelInventory, gold_labels
 from .errors import DataError
 from .mixer import (
     ModelConfig,
@@ -29,6 +29,9 @@ from .projection import FingerprintCache, ProjectionConfig, SequenceFeaturizer, 
 from .vocab import Vocabulary
 
 IGNORE_LABEL = -1
+
+# per head: the example field holding its gold labels, and its metric's name
+_HEAD_LABELS = {"token": ("slots", "exact_match"), "pooled": ("label", "intent_accuracy")}
 
 
 @dataclass(frozen=True)
@@ -97,49 +100,35 @@ def cross_entropy_masked(
 
     Token head: logits ``(labels, s)`` or ``(batch, labels, s)`` with integer
     labels per position, ``IGNORE_LABEL`` marking padding. Pooled head: logits
-    ``(classes,)`` or ``(batch, classes)`` with one label per example. The
-    gradient is zero at every ignored position.
+    ``(classes,)`` or ``(batch, classes)`` with one label per example, scored
+    as a sequence of one position. The gradient has the shape of ``logits``
+    and is zero at every ignored position.
     """
-    labels = np.asarray(labels)
-    if head == "token":
-        squeeze = logits.ndim == 2
-        lg = logits[None, ...] if squeeze else logits
-        lb = labels[None, ...] if squeeze else labels
-        mask = lb != IGNORE_LABEL
-        count = int(mask.sum())
-        if count == 0:
-            raise ValueError("cross entropy over zero unmasked positions")
-        logp = _log_softmax(lg, axis=1)
-        n_idx, s_idx = np.nonzero(mask)
-        loss = -logp[n_idx, lb[n_idx, s_idx], s_idx].sum() / count
-        grad = np.exp(logp)
-        grad[n_idx, lb[n_idx, s_idx], s_idx] -= 1.0
-        grad *= mask[:, None, :] / count
-        return float(loss), grad[0] if squeeze else grad
-    if head == "pooled":
-        squeeze = logits.ndim == 1
-        lg = logits[None, ...] if squeeze else logits
-        lb = np.atleast_1d(labels)
-        mask = lb != IGNORE_LABEL
-        count = int(mask.sum())
-        if count == 0:
-            raise ValueError("cross entropy over zero unmasked examples")
-        logp = _log_softmax(lg, axis=1)
-        rows = np.nonzero(mask)[0]
-        loss = -logp[rows, lb[rows]].sum() / count
-        grad = np.exp(logp)
-        grad[rows, lb[rows]] -= 1.0
-        grad *= mask[:, None] / count
-        return float(loss), grad[0] if squeeze else grad
-    raise ValueError(f"unknown head kind {head!r}")
+    if head not in _HEAD_LABELS:
+        raise ValueError(f"unknown head kind {head!r}")
+    lg = logits[..., None] if head == "pooled" else logits
+    lg = lg.reshape(-1, *lg.shape[-2:])  # (batch, classes, positions)
+    lb = np.asarray(labels).reshape(lg.shape[0], lg.shape[2])
+    mask = lb != IGNORE_LABEL
+    count = int(mask.sum())
+    if count == 0:
+        raise ValueError("cross entropy over zero unmasked positions")
+    logp = _log_softmax(lg, axis=1)
+    n_idx, s_idx = np.nonzero(mask)
+    loss = -logp[n_idx, lb[n_idx, s_idx], s_idx].sum() / count
+    grad = np.exp(logp)
+    grad[n_idx, lb[n_idx, s_idx], s_idx] -= 1.0
+    grad *= mask[:, None, :] / count
+    return float(loss), grad.reshape(logits.shape)
 
 
 def exact_match_accuracy(
     pred_labels: list[list[str]], gold_labels: list[list[str]]
 ) -> float:
-    """Correctly labeled words over total words, pooled across the dataset.
+    """Correctly labeled positions over total positions, pooled across the dataset.
 
-    A prediction shorter than its gold sequence (the model truncated the
+    With one label per example this is intent (classification) accuracy. A
+    prediction shorter than its gold sequence (the model truncated the
     input) scores the missing positions as wrong; a longer one is a usage
     error.
     """
@@ -155,15 +144,6 @@ def exact_match_accuracy(
     if total == 0:
         raise ValueError("cannot compute accuracy over zero tokens")
     return correct / total
-
-
-def intent_accuracy(pred: list[str], gold: list[str]) -> float:
-    """Correctly classified samples over total samples."""
-    if len(pred) != len(gold):
-        raise ValueError("prediction and gold counts differ")
-    if not gold:
-        raise ValueError("cannot compute accuracy over zero samples")
-    return sum(p == g for p, g in zip(pred, gold)) / len(gold)
 
 
 @dataclass
@@ -185,37 +165,21 @@ def encode_dataset(
 ) -> EncodedDataset:
     """Tokenize, featurize and label-encode a dataset split.
 
-    With ``strict`` a label outside the inventory raises; otherwise it is
-    encoded as ignored (evaluation scores such positions via label strings,
-    so they still count as wrong).
+    Labels are ``(examples, positions)``: ``max_seq_len`` positions for the
+    token head, one for the pooled head. With ``strict`` a label outside the
+    inventory raises; otherwise it is encoded as ignored (evaluation scores
+    such positions via label strings, so they still count as wrong).
     """
     ids, valid = featurizer.encode([ex.tokens for ex in examples])
-    s = featurizer.cfg.max_seq_len
-    if head == "token":
-        labels = np.full((len(examples), s), IGNORE_LABEL, dtype=np.int64)
-        for row, ex in enumerate(examples):
-            if ex.slot_labels is None:
-                raise DataError(f"example {row}: token-head training needs slot labels")
-            for col, lab in enumerate(ex.slot_labels[: valid[row]]):
-                idx = inventory.index.get(lab)
-                if idx is None:
-                    if strict:
-                        raise DataError(
-                            f"example {row}: slot label {lab!r} outside the inventory"
-                        )
-                else:
-                    labels[row, col] = idx
-    else:
-        labels = np.full(len(examples), IGNORE_LABEL, dtype=np.int64)
-        for row, ex in enumerate(examples):
-            if ex.class_label is None:
-                raise DataError(f"example {row}: pooled-head training needs a class label")
-            idx = inventory.index.get(ex.class_label)
-            if idx is None and strict:
-                raise DataError(
-                    f"example {row}: class label {ex.class_label!r} outside the inventory"
-                )
-            labels[row] = IGNORE_LABEL if idx is None else idx
+    width = featurizer.cfg.max_seq_len if head == "token" else 1
+    labels = np.full((len(examples), width), IGNORE_LABEL, dtype=np.int64)
+    for row, gold in enumerate(gold_labels(examples, _HEAD_LABELS[head][0])):
+        for col, lab in enumerate(gold[:width]):
+            idx = inventory.index.get(lab)
+            if idx is not None:
+                labels[row, col] = idx
+            elif strict:
+                raise DataError(f"example {row}: label {lab!r} outside the inventory")
     return EncodedDataset(ids=ids, valid=valid, labels=labels, examples=examples)
 
 
@@ -254,24 +218,13 @@ def evaluate(
     batch_size: int = 256,
 ) -> dict:
     """Metric over a split, scoring truncated-away tokens as errors."""
+    field, metric = _HEAD_LABELS[cfg.head]
     preds = predict_batches(data, featurizer, params, cfg, batch_size=batch_size)
-    if cfg.head == "token":
-        pred_strs = [[inventory.labels[i] for i in p] for p in preds]
-        gold_strs = [list(ex.slot_labels) for ex in data.examples]
-        metric_name = "exact_match"
-        value = exact_match_accuracy(pred_strs, gold_strs)
-        unseen = sorted(
-            {lab for ex in data.examples for lab in ex.slot_labels if lab not in inventory.index}
-        )
-    else:
-        pred_strs = [inventory.labels[int(i)] for i in preds]
-        gold_strs = [ex.class_label for ex in data.examples]
-        metric_name = "intent_accuracy"
-        value = intent_accuracy(pred_strs, gold_strs)
-        unseen = sorted(
-            {ex.class_label for ex in data.examples if ex.class_label not in inventory.index}
-        )
-    return {"metric": metric_name, "value": value, "unseen_labels": unseen}
+    pred_strs = [[inventory.labels[i] for i in np.atleast_1d(p)] for p in preds]
+    gold = gold_labels(data.examples, field)
+    unseen = sorted({lab for g in gold for lab in g if lab not in inventory.index})
+    return {"metric": metric, "value": exact_match_accuracy(pred_strs, gold),
+            "unseen_labels": unseen}
 
 
 @dataclass
@@ -297,7 +250,6 @@ def train(
     head: str,
     cache: FingerprintCache | None = None,
     log_fn=None,
-    dtype=np.float32,
 ) -> TrainResult:
     """Train for the configured epochs and return the best-epoch parameters.
 
@@ -305,14 +257,14 @@ def train(
     updates per batch, then a full validation pass. ``log_fn`` receives each
     epoch's log entry as it is produced. A batch whose loss is NaN or
     infinite stops training with :class:`DataError` naming the epoch and
-    the batch (both counted from 1). Training math runs in ``dtype``
-    (float32 by default; initialization is computed in float64 and cast, so
-    runs with equal seeds stay bit-identical).
+    the batch (both counted from 1); floating-point warnings inside the
+    step are silenced, since that check reports the divergence. Training
+    math runs in float32 (initialization is computed in float64 and cast,
+    so runs with equal seeds stay bit-identical).
     """
     if not train_examples or not val_examples:
         raise DataError("training and validation splits must be non-empty")
-    label_field = "slots" if head == "token" else "label"
-    inventory = LabelInventory.from_examples(train_examples, label_field)
+    inventory = LabelInventory.from_examples(train_examples, _HEAD_LABELS[head][0])
     featurizer = SequenceFeaturizer(vocab, proj_cfg, cache=cache)
     train_data = encode_dataset(train_examples, featurizer, inventory, head)
     val_data = encode_dataset(val_examples, featurizer, inventory, head, strict=False)
@@ -326,7 +278,7 @@ def train(
         head=head,
         num_labels=len(inventory.labels),
     )
-    params = {k: p.astype(dtype) for k, p in init_params(model_cfg, train_cfg.seed).items()}
+    params = {k: p.astype(np.float32) for k, p in init_params(model_cfg, train_cfg.seed).items()}
     state = OptimizerState.fresh(params)
     rng = np.random.default_rng(train_cfg.seed)
 
@@ -344,14 +296,15 @@ def train(
         for lo in range(0, n, train_cfg.batch_size):
             batch = order[lo : lo + train_cfg.batch_size]
             inputs = _token_windows(featurizer, train_data, batch)
-            logits, record = forward_batch(inputs, train_data.valid[batch], params, model_cfg)
             batch_labels = train_data.labels[batch]
-            loss, dlogits = cross_entropy_masked(logits, batch_labels, head=head)
-            if not math.isfinite(loss):
-                batch_no = lo // train_cfg.batch_size + 1
-                raise DataError(f"epoch {epoch}, batch {batch_no}: training loss is {loss}")
-            grads, _ = backward_batch(record, dlogits, params, model_cfg, want_input_grad=False)
-            params, state = adam_step(params, grads, state, train_cfg)
+            with np.errstate(all="ignore"):
+                logits, record = forward_batch(inputs, train_data.valid[batch], params, model_cfg)
+                loss, dlogits = cross_entropy_masked(logits, batch_labels, head=head)
+                if not math.isfinite(loss):
+                    batch_no = lo // train_cfg.batch_size + 1
+                    raise DataError(f"epoch {epoch}, batch {batch_no}: training loss is {loss}")
+                grads, _ = backward_batch(record, dlogits, params, model_cfg)
+                params, state = adam_step(params, grads, state, train_cfg)
             counted = int((batch_labels != IGNORE_LABEL).sum())
             loss_sum += loss * counted
             weight_sum += counted

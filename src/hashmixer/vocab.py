@@ -32,7 +32,6 @@ class Vocabulary:
 
     units: tuple[str, ...]
     index: dict[str, int]
-    unk_token: str = DEFAULT_UNK
 
     def __len__(self) -> int:
         return len(self.units)
@@ -41,7 +40,7 @@ class Vocabulary:
         return unit in self.index
 
     @classmethod
-    def from_units(cls, units: list[str], unk_token: str = DEFAULT_UNK) -> "Vocabulary":
+    def from_units(cls, units: list[str]) -> "Vocabulary":
         index: dict[str, int] = {}
         for lineno, unit in enumerate(units, start=1):
             if not unit:
@@ -49,20 +48,19 @@ class Vocabulary:
             if unit in index:
                 raise DataError(f"vocabulary line {lineno}: duplicate unit {unit!r}")
             index[unit] = lineno - 1
-        if unk_token not in index:
-            raise DataError(f"vocabulary is missing the unknown token {unk_token!r}")
-        return cls(units=tuple(units), index=index, unk_token=unk_token)
+        if DEFAULT_UNK not in index:
+            raise DataError(f"vocabulary is missing the unknown token {DEFAULT_UNK!r}")
+        return cls(units=tuple(units), index=index)
 
 
-def load_vocab(path: str, unk_token: str = DEFAULT_UNK) -> Vocabulary:
+def load_vocab(path: str) -> Vocabulary:
     """Load a newline-separated vocabulary file, preserving order."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read vocabulary file {path}: {exc}") from exc
-    units = raw.splitlines()
-    return Vocabulary.from_units(units, unk_token=unk_token)
+    return Vocabulary.from_units(raw.splitlines())
 
 
 def save_vocab(units: list[str], path: str) -> None:
@@ -115,7 +113,7 @@ def tokenize_word(word: str, vocab: Vocabulary) -> list[SubwordUnit]:
                 break
             end -= 1
         if piece is None:
-            return [SubwordUnit(vocab.unk_token, is_continuation=False)]
+            return [SubwordUnit(DEFAULT_UNK, is_continuation=False)]
         units.append(SubwordUnit(piece, is_continuation=start > 0))
         start = end
     return units

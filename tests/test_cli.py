@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -270,6 +271,21 @@ class TestExitCodes:
         bad.write_text(json.dumps({"projection": {"kind": "sketchy"}}), encoding="utf-8")
         assert run(["params", "--config", str(bad)]) == 1
 
+    @pytest.mark.parametrize("document", [
+        5,
+        {"train": {"bogus": 1}},
+        {"model": {"bottleneck": "x"}},
+        {"paths": {"vocabb": "v.txt"}},
+        {"model": {"bogus": 1}},
+    ])
+    def test_malformed_config_is_data_error(self, tmp_path, capsys, document):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(document), encoding="utf-8")
+        assert run(["params", "--config", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
     def test_empty_utterance_is_data_error(self, trained, workspace, tmp_path):
         data = tmp_path / "empty.jsonl"
         data.write_text('{"tokens": ["a"], "slots": ["O"]}\n{"tokens": [], "slots": []}\n',
@@ -283,14 +299,16 @@ class TestExitCodes:
         bad.write_text(json.dumps(config), encoding="utf-8")
         assert run(["train", "--config", str(bad), "--quiet"]) == 2
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     def test_diverging_training_is_data_error(self, workspace, tmp_path, capsys):
         config = json.load(open(workspace["config"], encoding="utf-8"))
         config["train"]["learning_rate"] = 1e10
         config["paths"]["out_dir"] = str(tmp_path / "run")
         bad = tmp_path / "diverge.json"
         bad.write_text(json.dumps(config), encoding="utf-8")
-        assert run(["train", "--config", str(bad), "--quiet"]) == 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["train", "--config", str(bad), "--quiet"]) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert "epoch 1, batch 2: training loss is nan" in capsys.readouterr().err
 
     def test_cache_hash_count_mismatch_is_data_error(self, workspace, tmp_path):

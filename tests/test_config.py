@@ -59,6 +59,35 @@ class TestBuildRunConfig:
         with pytest.raises(DataError, match="unknown config groups"):
             build_run_config(path=str(path))
 
+    @pytest.mark.parametrize("document,named", [
+        (5, "JSON object"),
+        ([], "JSON object"),
+        ({"train": {"bogus": 1}}, "train.bogus"),
+        ({"model": {"bogus": 1}}, "model.bogus"),
+        ({"paths": {"vocabb": "v.txt"}}, "paths.vocabb"),
+        ({"model": {"bottleneck": "x"}}, "model.bottleneck"),
+        ({"model": {"depth": 2.0}}, "model.depth"),
+        ({"projection": {"window": True}}, "projection.window"),
+        ({"train": {"learning_rate": "fast"}}, "train.learning_rate"),
+        ({"paths": {"vocab": 3}}, "paths.vocab"),
+        ({"train": []}, "'train'"),
+    ])
+    def test_malformed_document_names_the_key(self, tmp_path, document, named):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        with pytest.raises(DataError, match=named):
+            build_run_config(path=str(path))
+
+    def test_integer_learning_rate_and_nulls_accepted(self, tmp_path):
+        path = tmp_path / "run.json"
+        document = {"train": {"learning_rate": 1, "seed": None, "select_best_by": "accuracy"},
+                    "model": {"num_labels": None, "input_rows": 3072},
+                    "paths": {"cache": None}}
+        path.write_text(json.dumps(document), encoding="utf-8")
+        cfg = build_run_config(path=str(path))
+        assert cfg.train.learning_rate == 1
+        assert cfg.train.seed == 0 and cfg.num_labels is None and cfg.cache_path is None
+
     def test_input_rows_cross_check(self, tmp_path):
         path = tmp_path / "run.json"
         document = {

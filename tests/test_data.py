@@ -131,6 +131,21 @@ class TestImportMtop:
 
         assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
+    def test_output_bytes_and_summary(self, tmp_path):
+        raw = tmp_path / "raw.tsv"
+        raw.write_text("1\twake me up\tO O O\n2\tplay música\tO B-GENRE\n"
+                       "3\tbad row here\tO O\n4\t[\"a\",\"b\"]\t[\"O\",\"B-X\"]\n\n5\t\t\n",
+                       encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        summary = import_mtop(str(raw), {"tokens": 1, "slots": 2}, str(out))
+        assert summary == {"path": str(out), "examples": 3, "skipped": 2,
+                           "skipped_rows": [3, 6], "labels": 3}
+        assert out.read_bytes() == (
+            b'{"tokens": ["wake", "me", "up"], "slots": ["O", "O", "O"]}\n'
+            b'{"tokens": ["play", "m\xc3\xbasica"], "slots": ["O", "B-GENRE"]}\n'
+            b'{"tokens": ["a", "b"], "slots": ["O", "B-X"]}\n'
+        )
+
     def test_too_few_columns_is_an_error(self, tmp_path):
         raw = tmp_path / "raw.tsv"
         raw.write_text("only one column\n", encoding="utf-8")
@@ -156,6 +171,21 @@ class TestImportMultiatis:
         examples = load_jsonl(out)
         assert examples[0].class_label == "flight"
         assert examples[0].tokens[0] == "list"
+
+    def test_output_bytes_and_summary(self, tmp_path):
+        raw = tmp_path / "raw.tsv"
+        raw.write_text("id\tutterance\tintent\n1\tlist flights to denver\tflight\n"
+                       "2\t\tflight\n3\twhat is the fare\tairfare \n4\thello\t\n",
+                       encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        summary = import_multiatis(str(raw), {"text": 1, "intent": 2, "skip_header": True},
+                                   str(out))
+        assert summary == {"path": str(out), "examples": 2, "skipped": 2,
+                           "skipped_rows": [3, 5], "labels": 2}
+        assert out.read_bytes() == (
+            b'{"tokens": ["list", "flights", "to", "denver"], "label": "flight"}\n'
+            b'{"tokens": ["what", "is", "the", "fare"], "label": "airfare"}\n'
+        )
 
     def test_empty_fields_skipped(self, tmp_path):
         raw = tmp_path / "raw.tsv"

@@ -30,12 +30,10 @@ def forward(matrix, params, cfg):
     return logits[0], record
 
 
-def backward(record, upstream, params, cfg, want_input_grad=True):
+def backward(record, upstream, params, cfg):
     """Single-example backward matching :func:`forward`."""
-    grads, input_grad = backward_batch(
-        record, upstream[None, ...], params, cfg, want_input_grad=want_input_grad
-    )
-    return grads, None if input_grad is None else input_grad[0]
+    grads, input_grad = backward_batch(record, upstream[None, ...], params, cfg)
+    return grads, input_grad[0]
 
 
 def gelu(x):
@@ -349,12 +347,12 @@ class TestBackward:
         assert not input_grad.any()
 
     def test_input_grad_optional(self, rng):
+        # only a dense input has an input gradient; token windows have none
         cfg = small_cfg()
         params = init_params(cfg, seed=3)
-        matrix = FeatureMatrix(data=rng.normal(size=(12, 6)), valid_len=6)
-        logits, record = forward(matrix, params, cfg)
-        grads, input_grad = backward(record, np.ones_like(logits), params, cfg,
-                                     want_input_grad=False)
+        windows, _, valid = token_case(rng, 1, distinct=True)
+        logits, record = forward_batch(windows, valid, params, cfg)
+        grads, input_grad = backward_batch(record, np.ones_like(logits), params, cfg)
         assert input_grad is None
         assert grads["bottleneck.weight"].shape == (8, 12)
 
@@ -399,7 +397,7 @@ class TestTokenInput:
     def run(inputs, valid, labels, params, cfg):
         logits, record = forward_batch(inputs, valid, params, cfg)
         _, dlogits = cross_entropy_masked(logits, labels, head=cfg.head)
-        grads, _ = backward_batch(record, dlogits, params, cfg, want_input_grad=False)
+        grads, _ = backward_batch(record, dlogits, params, cfg)
         return logits, grads
 
     @pytest.mark.parametrize("window", [0, 1])
@@ -449,14 +447,6 @@ class TestTokenInput:
         _, grads = self.run(windows, valid, labels, params, cfg)
         numeric = numeric_gradients(loss_fn, {"bottleneck.weight": params["bottleneck.weight"]})
         assert max_rel_error({"bottleneck.weight": grads["bottleneck.weight"]}, numeric) < 1e-4
-
-    def test_input_grad_rejected(self, rng):
-        windows, _, valid = token_case(rng, 1, distinct=True)
-        cfg = token_cfg(1, "token")
-        params = init_params(cfg, seed=3)
-        logits, record = forward_batch(windows, valid, params, cfg)
-        with pytest.raises(ValueError, match="input gradient"):
-            backward_batch(record, np.ones_like(logits), params, cfg)
 
     def test_shape_mismatch_rejected(self, rng):
         windows, _, valid = token_case(rng, 1, distinct=True)

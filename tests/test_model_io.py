@@ -129,6 +129,16 @@ class TestFeatureDump:
             assert a.valid_len == b.valid_len
             assert np.array_equal(a.data, b.data)
 
+    def test_loads_float32_values_unchanged(self, tmp_path, rng):
+        mats = [FeatureMatrix(data=rng.normal(size=(6, 4)).astype(np.float32), valid_len=v)
+                for v in (1, 4)]
+        path = str(tmp_path / "features.bin")
+        save_features(path, mats)
+        for a, b in zip(mats, load_features(path)):
+            assert b.data.dtype == np.float32
+            assert b.data.shape == (6, 4)
+            assert np.array_equal(a.data, b.data)
+
     def test_shape_mismatch_rejected(self, tmp_path, rng):
         mats = [FeatureMatrix(data=np.zeros((4, 3)), valid_len=1),
                 FeatureMatrix(data=np.zeros((5, 3)), valid_len=1)]
