@@ -350,6 +350,11 @@ class TestBackward:
         # only a dense input has an input gradient; token windows have none
         cfg = small_cfg()
         params = init_params(cfg, seed=3)
+        matrix = FeatureMatrix(data=rng.normal(size=(12, 6)), valid_len=6)
+        logits, record = forward(matrix, params, cfg)
+        grads, input_grad = backward(record, np.ones_like(logits), params, cfg)
+        assert input_grad.shape == matrix.data.shape
+        assert grads["bottleneck.weight"].shape == (8, 12)
         windows, _, valid = token_case(rng, 1, distinct=True)
         logits, record = forward_batch(windows, valid, params, cfg)
         grads, input_grad = backward_batch(record, np.ones_like(logits), params, cfg)
@@ -447,6 +452,17 @@ class TestTokenInput:
         _, grads = self.run(windows, valid, labels, params, cfg)
         numeric = numeric_gradients(loss_fn, {"bottleneck.weight": params["bottleneck.weight"]})
         assert max_rel_error({"bottleneck.weight": grads["bottleneck.weight"]}, numeric) < 1e-4
+
+    def test_input_grad_rejected(self, rng):
+        # token windows give no input gradient, only the parameter gradients
+        windows, _, valid = token_case(rng, 1, distinct=True)
+        cfg = token_cfg(1, "token")
+        params = init_params(cfg, seed=3)
+        logits, record = forward_batch(windows, valid, params, cfg)
+        grads, input_grad = backward_batch(record, np.ones_like(logits), params, cfg)
+        assert input_grad is None
+        assert grads.keys() == params.keys()
+        assert grads["bottleneck.weight"].shape == params["bottleneck.weight"].shape
 
     def test_shape_mismatch_rejected(self, rng):
         windows, _, valid = token_case(rng, 1, distinct=True)
