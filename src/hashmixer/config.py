@@ -17,8 +17,9 @@ Named presets cover the five shipped model sizes; a config file overrides a
 preset, and command-line flags override both. ``model.input_rows``, when
 present, is checked against the projection-derived value rather than stored.
 A document that is not an object, an unknown group or key, or a value of the
-wrong type is a :class:`DataError` naming the key; ``null`` leaves a key at
-its default.
+wrong type or out of range is a :class:`DataError` naming the key; ``null``
+leaves a key at its default. An out-of-range value passed in ``overrides``
+(a command-line flag) stays the config dataclass's ``ValueError``.
 """
 
 from __future__ import annotations
@@ -159,13 +160,31 @@ def build_run_config(
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: invalid JSON: {exc}") from exc
         document = _merge(document, loaded, path)
+        _from_document(document, source=path)  # what the file sets, before any flag
     if overrides:
         document = _merge(document, overrides, "overrides")
     return _from_document(document)
 
 
-def _from_document(document: dict) -> RunConfig:
-    proj = ProjectionConfig(**document["projection"])
+def _from_document(document: dict, source: str | None = None) -> RunConfig:
+    """The RunConfig of a merged document, with every group's values checked.
+
+    A value that its config dataclass rejects is a :class:`DataError` naming
+    ``source`` and ``group.key``; with no ``source`` it stays a ``ValueError``.
+    """
+
+    def checked(group: str, make):
+        try:
+            return make()
+        except ValueError as exc:
+            if source is None:
+                raise
+            # each config __post_init__ message starts with the field it rejects
+            key = str(exc).split()[0]
+            raise DataError(f"{source}: config key {group}.{key}: {exc}") from exc
+
+    proj = checked("projection", lambda: ProjectionConfig(**document["projection"]))
+    train = checked("train", lambda: TrainConfig(**document["train"]))
     model = dict(document["model"])
     declared_rows = model.pop("input_rows", None)
     if declared_rows is not None and declared_rows != proj.input_rows:
@@ -174,12 +193,15 @@ def _from_document(document: dict) -> RunConfig:
             f"((2*{proj.window}+1) * {proj.token_feature_len} = {proj.input_rows})"
         )
     paths = document["paths"]
-    return RunConfig(
+    run = RunConfig(
         projection=proj,
-        train=TrainConfig(**document["train"]),
+        train=train,
         **model,
         **{name: paths.get(key) for key, name in _PATH_FIELDS.items()},
     )
+    # a dataset may give num_labels later; until then 1 stands in for it
+    checked("model", lambda: run.model_config(1 if run.num_labels is None else None))
+    return run
 
 
 def save_run_config(cfg: RunConfig, path: str) -> None:

@@ -28,9 +28,9 @@ A dense ``(batch, rows, s)`` tensor is the reference form, and only it has an
 input gradient. Everything after the bottleneck is shared.
 
 GELU is exact, ``x * Phi(x)`` with ``Phi`` the standard normal CDF, and the
-dtype of the activations selects how ``Phi`` is computed. float32 (the
-trainer) uses a clamped rational erf, ``z * P(z^2) / Q(z^2)`` with ``z``
-clamped to [-4, 4] (Eigen's single-precision form), evaluated in blocks of
+dtype of the activations selects how ``Phi`` is computed. float32 uses a
+clamped rational erf, ``z * P(z^2) / Q(z^2)`` with ``z`` clamped to
+[-4, 4] (Eigen's single-precision form), evaluated in blocks of
 :data:`ERF_BLOCK` elements so that its dozens of passes stay in cache. Its
 ``Phi`` is within 2.4e-7 of the float64 value on a dense grid over
 [-10, 10], and is exactly 0 or 1 beyond |x| = 4 sqrt 2. Every other dtype
@@ -39,8 +39,10 @@ uses scipy's erf, at the full precision the float64 gradient checks need.
 
 Parameters and their gradients are flat ``{name: ndarray}`` dicts so the
 optimizer, serializer and quantizer can treat them uniformly. The math
-follows the dtype of the parameters and inputs (float64 for gradient
-verification, float32 in the trainer) and takes a leading batch axis.
+follows the dtype of the parameters and inputs and takes a leading batch
+axis: float32 in the trainer and for a float model file loaded for ``eval``
+and ``predict``; float64 for gradient verification and for an int8 model
+file, whose dequantized weights need float64 to be exact.
 """
 
 from __future__ import annotations
@@ -93,13 +95,14 @@ class ModelConfig:
     num_labels: int
 
     def __post_init__(self) -> None:
+        # each message starts with the field it rejects; config.py names the key from it
         for name in ("input_rows", "seq_len", "bottleneck", "hidden", "num_labels"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.depth < 0:
             raise ValueError("depth must be >= 0")
         if self.head not in HEAD_KINDS:
-            raise ValueError(f"unknown head kind {self.head!r}, expected one of {HEAD_KINDS}")
+            raise ValueError(f"head must be one of {HEAD_KINDS}, not {self.head!r}")
 
 
 def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:

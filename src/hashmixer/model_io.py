@@ -110,9 +110,13 @@ class _Reader:
 def load_model(path: str) -> tuple[ModelParams, ModelConfig, bool]:
     """Read a model container; quantized tensors come back dequantized.
 
-    Returns ``(params, config, was_quantized)``. Parameters are float64,
-    ready for the forward pass (fake quantization for int8 containers). A
-    float32 tensor holding NaN or infinity is a :class:`ModelFileError`.
+    Returns ``(params, config, was_quantized)``, each parameter a writeable,
+    aligned array of its own, ready for the forward pass, whose math follows
+    their dtype. A container of float32 tensors loads as float32, exactly as
+    stored. A container with any int8 tensor loads as float64: ``values *
+    scale`` (fake quantization) can need 31 significant bits, so float64
+    holds it exactly. A float32 tensor holding NaN or infinity is a
+    :class:`ModelFileError`.
     """
     try:
         with open(path, "rb") as fh:
@@ -153,7 +157,7 @@ def load_model(path: str) -> tuple[ModelParams, ModelConfig, bool]:
             data = np.frombuffer(reader.take(4 * count), dtype="<f4")
             if not np.isfinite(data).all():
                 raise ModelFileError(f"{path}: tensor {name} holds NaN or infinite values")
-            params[name] = data.astype(np.float64).reshape(shape)
+            params[name] = data.astype(np.float32).reshape(shape)
         elif type_tag == TENSOR_INT8:
             any_quantized = True
             (scale,) = reader.unpack("<f")
@@ -166,6 +170,8 @@ def load_model(path: str) -> tuple[ModelParams, ModelConfig, bool]:
         else:
             raise ModelFileError(f"{path}: unknown tensor type tag {type_tag}")
     reader.finish()
+    if any_quantized:
+        params = {name: p.astype(np.float64, copy=False) for name, p in params.items()}
 
     expected = param_shapes(cfg)
     missing = sorted(set(expected) - set(params))

@@ -48,8 +48,9 @@ class ProjectionConfig:
     simhash_bits: int = 64
 
     def __post_init__(self) -> None:
+        # each message starts with the field it rejects; config.py names the key from it
         if self.kind not in PROJECTION_KINDS:
-            raise ValueError(f"unknown projection kind {self.kind!r}, expected one of {PROJECTION_KINDS}")
+            raise ValueError(f"kind must be one of {PROJECTION_KINDS}, not {self.kind!r}")
         if self.n_hashes < 1:
             raise ValueError("n_hashes must be >= 1")
         if self.feature_size < 1:
@@ -61,7 +62,7 @@ class ProjectionConfig:
         if not 1 <= self.simhash_bits <= 64:
             raise ValueError("simhash_bits must be in 1..64")
         if self.kind == "tsp" and self.feature_size % 2 != 0:
-            raise ValueError("tsp projection consumes bits in pairs; feature_size must be even")
+            raise ValueError("feature_size must be even: the tsp projection consumes bits in pairs")
 
     @property
     def token_feature_len(self) -> int:

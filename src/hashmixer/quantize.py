@@ -2,9 +2,13 @@
 
 Quantization maps a float tensor onto the grid ``k * scale`` for integer
 ``k in [-127, 127]`` with ``scale = max|w| / 127``, rounding half away from
-zero so every implementation lands on identical integers. Evaluation is
-"fake quant": the model loader dequantizes int8 tensors back to floats and
-the forward pass runs in floating point.
+zero so every implementation lands on identical integers. A float32 input
+(a loaded float model file) is widened to float64 exactly, so it quantizes
+as its float64 copy does.
+
+Evaluation is "fake quant": the model loader dequantizes int8 tensors to
+float64, where ``values * scale`` is exact, and the forward pass runs in
+float64.
 """
 
 from __future__ import annotations

@@ -46,6 +46,7 @@ class TrainConfig:
     select_best_by: str = "accuracy"
 
     def __post_init__(self) -> None:
+        # each message starts with the field it rejects; config.py names the key from it
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
         if self.batch_size < 1:

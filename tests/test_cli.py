@@ -10,15 +10,28 @@ import numpy as np
 import pytest
 
 from hashmixer.cli import run
-from hashmixer.model_io import MODEL_MAGIC, load_features, load_model, save_features, save_model
+from hashmixer.config import build_run_config
+from hashmixer.data import LabelInventory, load_jsonl
+from hashmixer.mixer import forward_batch
+from hashmixer.model_io import (
+    MODEL_MAGIC,
+    load_features,
+    load_model,
+    save_features,
+    save_model,
+    save_quantized_model,
+)
 from hashmixer.projection import (
     FeatureMatrix,
     ProjectionConfig,
     SequenceFeaturizer,
+    TokenWindows,
     build_cache,
     load_cache,
     token_feature,
 )
+from hashmixer.quantize import quantize_params
+from hashmixer.training import encode_dataset, predict_batches
 from hashmixer.vocab import load_vocab
 
 from conftest import synth_dataset
@@ -108,11 +121,44 @@ class TestTrainEvalPredictQuantize:
         with open(os.path.join(trained, "train_log.jsonl"), encoding="utf-8") as fh:
             best = max(json.loads(line)["val_metric"] for line in fh)
         assert report["metric"] == "exact_match"
-        assert report["value"] == pytest.approx(best, abs=1e-9)
+        # the float32 model file runs the float32 forward that scored each epoch
+        assert report["value"] == best
+
+    def test_float32_predictions_match_float64_except_ties(self, trained, workspace):
+        params, model_cfg, _ = load_model(os.path.join(trained, "model.bin"))
+        assert {p.dtype for p in params.values()} == {np.dtype(np.float32)}
+        params64 = {k: p.astype(np.float64) for k, p in params.items()}
+        with open(os.path.join(trained, "labels.json"), encoding="utf-8") as fh:
+            labels = json.load(fh)
+        inventory = LabelInventory(labels=tuple(labels),
+                                   index={l: i for i, l in enumerate(labels)})
+        featurizer = SequenceFeaturizer(load_vocab(workspace["paths"]["vocab"]),
+                                        build_run_config(path=workspace["config"]).projection)
+        data = encode_dataset(load_jsonl(workspace["paths"]["val"]), featurizer, inventory,
+                              "token", strict=False)
+        preds32 = predict_batches(data, featurizer, params, model_cfg)
+        preds64 = predict_batches(data, featurizer, params64, model_cfg)
+        windows = TokenWindows(featurizer.table, featurizer.window_ids(data.ids, data.valid))
+        logits64, _ = forward_batch(windows, data.valid, params64, model_cfg)
+        decided = 0
+        for i, (p32, p64) in enumerate(zip(preds32, preds64)):
+            top2 = np.sort(logits64[i, :, : data.valid[i]], axis=0)[-2:]
+            clear = top2[1] - top2[0] > 1e-5 * np.maximum(1.0, np.abs(top2[1]))
+            assert np.array_equal(p32[clear], p64[clear]), i
+            decided += int(clear.sum())
+        assert decided > 0.99 * int(data.valid.sum())
+
+    def test_quantize_output_unchanged(self, trained, tmp_path):
+        model = os.path.join(trained, "model.bin")
+        out = str(tmp_path / "model.q.bin")
+        assert run(["quantize", "--model", model, "-o", out, "--quiet"]) == 0
+        params, model_cfg, _ = load_model(model)
+        ref = str(tmp_path / "ref.q.bin")
+        save_quantized_model(ref, quantize_params({k: p.astype(np.float64)
+                                                   for k, p in params.items()}), model_cfg)
+        assert _sha(out) == _sha(ref)
 
     def test_config_echo_reloads_identically(self, trained, workspace):
-        from hashmixer.config import build_run_config
-
         echoed = build_run_config(path=os.path.join(trained, "config.json"))
         original = build_run_config(path=workspace["config"])
         assert echoed.projection == original.projection
@@ -174,8 +220,6 @@ class TestTrainEvalPredictQuantize:
         val = workspace["paths"]["val"]
         assert run(["project", "--config", str(config_path), "--input", val,
                     "-o", out, "--quiet"]) == 0
-
-        from hashmixer.data import load_jsonl
 
         examples = load_jsonl(val)
         assert len(examples) > 7 and len(examples) % 7
@@ -266,10 +310,14 @@ class TestExitCodes:
     def test_help_exits_zero(self):
         assert run(["--help"]) == 0
 
-    def test_bad_config_value_is_usage_error(self, workspace, tmp_path):
+    def test_bad_config_value_is_usage_error(self, workspace, tmp_path, capsys):
+        # an out-of-range value in a config file is a bad data file, named by its key
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"projection": {"kind": "sketchy"}}), encoding="utf-8")
-        assert run(["params", "--config", str(bad)]) == 1
+        assert run(["params", "--config", str(bad)]) == 2
+        assert "projection.kind" in capsys.readouterr().err
+        # the same kind of value given as a flag stays a usage error
+        assert run(["params", "--preset", "base", "--num-labels", "0"]) == 1
 
     @pytest.mark.parametrize("document", [
         5,
@@ -277,6 +325,7 @@ class TestExitCodes:
         {"model": {"bottleneck": "x"}},
         {"paths": {"vocabb": "v.txt"}},
         {"model": {"bogus": 1}},
+        {"model": {"bottleneck": 0}},
     ])
     def test_malformed_config_is_data_error(self, tmp_path, capsys, document):
         bad = tmp_path / "bad.json"

@@ -71,12 +71,26 @@ class TestBuildRunConfig:
         ({"train": {"learning_rate": "fast"}}, "train.learning_rate"),
         ({"paths": {"vocab": 3}}, "paths.vocab"),
         ({"train": []}, "'train'"),
+        ({"model": {"bottleneck": 0}}, "model.bottleneck: bottleneck must be >= 1"),
+        ({"model": {"head": "tree"}}, "model.head"),
+        ({"model": {"num_labels": 0}}, "model.num_labels"),
+        ({"projection": {"kind": "sketchy"}}, "projection.kind"),
+        ({"projection": {"kind": "tsp", "feature_size": 7}}, "projection.feature_size"),
+        ({"train": {"epochs": 0}}, "train.epochs"),
     ])
     def test_malformed_document_names_the_key(self, tmp_path, document, named):
         path = tmp_path / "run.json"
         path.write_text(json.dumps(document), encoding="utf-8")
         with pytest.raises(DataError, match=named):
             build_run_config(path=str(path))
+
+    def test_out_of_range_override_stays_value_error(self, tmp_path):
+        with pytest.raises(ValueError, match="^epochs must be >= 1$"):
+            build_run_config(overrides={"train": {"epochs": 0}})
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"train": {"epochs": 0}}), encoding="utf-8")
+        with pytest.raises(DataError, match="run.json: config key train.epochs"):
+            build_run_config(path=str(path), overrides={"train": {"epochs": 3}})
 
     def test_integer_learning_rate_and_nulls_accepted(self, tmp_path):
         path = tmp_path / "run.json"

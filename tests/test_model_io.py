@@ -50,6 +50,26 @@ class TestModelContainer:
                                atol=0.0)
             assert np.allclose(loaded[name], expected, rtol=1e-6, atol=1e-9)
 
+    def test_float32_container_loads_as_float32_copies(self, cfg, tmp_path):
+        params = init_params(cfg, seed=6)
+        path = str(tmp_path / "model.bin")
+        save_model(path, params, cfg)
+        loaded, _, _ = load_model(path)
+        for name, p in params.items():
+            got = loaded[name]
+            assert got.dtype == np.float32, name
+            assert got.flags.writeable and got.flags.c_contiguous and got.flags.aligned, name
+            assert np.array_equal(got, p.astype(np.float32)), name
+
+    def test_int8_container_loads_as_exact_float64(self, cfg, tmp_path):
+        qparams = quantize_params(init_params(cfg, seed=6))
+        path = str(tmp_path / "model.q.bin")
+        save_quantized_model(path, qparams, cfg)
+        loaded, _, _ = load_model(path)
+        for name, q in qparams.items():
+            assert loaded[name].dtype == np.float64, name
+            assert np.array_equal(loaded[name], q.values.astype(np.float64) * np.float32(q.scale))
+
     def test_quantized_file_is_about_a_quarter(self, cfg, tmp_path):
         params = init_params(cfg, seed=6)
         fpath, qpath = str(tmp_path / "f.bin"), str(tmp_path / "q.bin")
