@@ -29,6 +29,7 @@ import numpy as np
 from .config import PRESETS, RunConfig, build_run_config, save_run_config
 from .data import Example, LabelInventory, import_mtop, import_multiatis, load_jsonl
 from .errors import DataError
+from .files import read_json
 from .hashing import HashFamily
 from .mixer import count_parameters, init_params
 from .model_io import load_model, save_features, save_model, save_quantized_model
@@ -109,7 +110,7 @@ def _cmd_project(args) -> int:
             yield from (FeatureMatrix(data=x, valid_len=int(n)) for x, n in zip(inputs, valid[sel]))
             del inputs  # freed before the next chunk is built
 
-    save_features(args.output, matrices(), count=len(examples))
+    save_features(args.output, matrices())
     _emit(args, {"features": args.output, "examples": len(examples),
                  "rows": cfg.projection.input_rows,
                  "cols": cfg.projection.max_seq_len})
@@ -169,11 +170,7 @@ def _load_for_inference(args, cfg: RunConfig):
     labels_path = args.labels
     if labels_path is None:
         labels_path = os.path.join(os.path.dirname(os.path.abspath(args.model)), "labels.json")
-    try:
-        with open(labels_path, encoding="utf-8") as fh:
-            labels = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read label inventory {labels_path}: {exc}") from exc
+    labels = read_json(labels_path, "label inventory")
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise DataError(f"{labels_path}: expected a JSON array of label strings")
     if len(labels) != model_cfg.num_labels:

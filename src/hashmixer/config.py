@@ -29,6 +29,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import DataError
+from .files import read_json
 from .mixer import ModelConfig
 from .projection import ProjectionConfig
 from .training import TrainConfig
@@ -152,13 +153,7 @@ def build_run_config(
             raise ValueError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
         document = _merge(document, PRESETS[preset], f"preset {preset}")
     if path is not None:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                loaded = json.load(fh)
-        except OSError as exc:
-            raise DataError(f"cannot read config file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: invalid JSON: {exc}") from exc
+        loaded = read_json(path, "config file")
         document = _merge(document, loaded, path)
         _from_document(document, source=path)  # what the file sets, before any flag
     if overrides:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
+from .files import read_text
 from .vocab import DEFAULT_UNK
 
 
@@ -75,37 +76,28 @@ class LabelInventory:
 def load_jsonl(path: str) -> list[Example]:
     """Read normalized examples, reporting the line number on any defect."""
     examples: list[Example] = []
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read dataset {path}: {exc}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(obj, dict) or "tokens" not in obj:
-                raise DataError(f"{path}:{lineno}: expected an object with a 'tokens' key")
-            tokens = obj["tokens"]
-            if not (isinstance(tokens, list) and tokens
-                    and all(isinstance(t, str) and t for t in tokens)):
-                raise DataError(
-                    f"{path}:{lineno}: 'tokens' must be a non-empty list of non-empty strings"
-                )
-            try:
-                examples.append(
-                    Example(
-                        tokens=tokens,
-                        slot_labels=obj.get("slots"),
-                        class_label=obj.get("label"),
-                    )
-                )
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
+    # split on "\n" only, as file iteration does: a JSON string may hold U+2028
+    for lineno, line in enumerate(read_text(path, "dataset").split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        if not isinstance(obj, dict) or "tokens" not in obj:
+            raise DataError(f"{path}:{lineno}: expected an object with a 'tokens' key")
+        tokens = obj["tokens"]
+        if not (isinstance(tokens, list) and tokens
+                and all(isinstance(t, str) and t for t in tokens)):
+            raise DataError(
+                f"{path}:{lineno}: 'tokens' must be a non-empty list of non-empty strings"
+            )
+        try:
+            examples.append(Example(tokens=tokens, slot_labels=obj.get("slots"),
+                                    class_label=obj.get("label")))
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
     return examples
 
 
@@ -173,28 +165,22 @@ def _import_rows(raw_path: str, field_map: dict, out_path: str, columns: tuple[s
     width = max(cols) + 1
     delimiter = field_map.get("delimiter", "\t")
     skip_header = bool(field_map.get("skip_header", False))
-    try:
-        fh = open(raw_path, encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read raw file {raw_path}: {exc}") from exc
     examples: list[Example] = []
     skipped: list[int] = []
-    with fh:
-        for rowno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or (skip_header and rowno == 1):
-                continue
-            cells = line.split(delimiter)
-            if len(cells) < width:
-                raise DataError(f"{raw_path}:{rowno}: expected at least {width} columns")
-            try:
-                example = parse(*(cells[c] for c in cols))
-            except ValueError as exc:  # includes a malformed JSON array cell
-                raise DataError(f"{raw_path}:{rowno}: {exc}") from exc
-            if example is None:
-                skipped.append(rowno)
-            else:
-                examples.append(example)
+    for rowno, line in enumerate(read_text(raw_path, "raw file").split("\n"), start=1):
+        if not line or (skip_header and rowno == 1):
+            continue
+        cells = line.split(delimiter)
+        if len(cells) < width:
+            raise DataError(f"{raw_path}:{rowno}: expected at least {width} columns")
+        try:
+            example = parse(*(cells[c] for c in cols))
+        except ValueError as exc:  # includes a malformed JSON array cell
+            raise DataError(f"{raw_path}:{rowno}: {exc}") from exc
+        if example is None:
+            skipped.append(rowno)
+        else:
+            examples.append(example)
     save_jsonl(examples, out_path)
     return {
         "path": out_path,

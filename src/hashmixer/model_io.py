@@ -15,7 +15,9 @@ Feature dump:
     magic "PNLPFEAT" | version u32 | count u64 | rows u32 | cols u32
     per example: valid_len u32 | float32 data (rows x cols, row major)
 
-Readers reject a file with bytes after its last record.
+A dump's count and shape are written last, so a dump cut short has a zero
+header and fails to load. Readers reject a file with bytes after its last
+record.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from collections.abc import Iterable
 import numpy as np
 
 from .errors import ModelFileError
+from .files import ContainerReader
 from .mixer import ModelConfig, ModelParams, param_shapes
 from .projection import FeatureMatrix
 from .quantize import QuantTensor, dequantize
@@ -40,6 +43,7 @@ TENSOR_INT8 = 1
 
 _HEAD_CODES = {"token": 0, "pooled": 1}
 _HEAD_NAMES = {v: k for k, v in _HEAD_CODES.items()}
+_TENSORS_PER_LAYER = 12  # each mixer layer's entries in mixer.param_shapes
 
 
 def _pack_header(cfg: ModelConfig, tensor_count: int) -> bytes:
@@ -83,30 +87,6 @@ def _write_tensor_header(fh, name: str, type_tag: int, shape: tuple[int, ...]) -
     fh.write(struct.pack(f"<{len(shape)}I", *shape))
 
 
-class _Reader:
-    """Sequential reads over a file's bytes; each read is a view, not a copy."""
-
-    def __init__(self, blob: bytes, path: str) -> None:
-        self.blob = memoryview(blob)
-        self.path = path
-        self.pos = 0
-
-    def take(self, n: int) -> memoryview:
-        if self.pos + n > len(self.blob):
-            raise ModelFileError(f"{self.path}: truncated file")
-        out = self.blob[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-    def finish(self) -> None:
-        extra = len(self.blob) - self.pos
-        if extra:
-            raise ModelFileError(f"{self.path}: {extra} trailing bytes after the last record")
-
-
 def load_model(path: str) -> tuple[ModelParams, ModelConfig, bool]:
     """Read a model container; quantized tensors come back dequantized.
 
@@ -118,29 +98,23 @@ def load_model(path: str) -> tuple[ModelParams, ModelConfig, bool]:
     holds it exactly. A float32 tensor holding NaN or infinity is a
     :class:`ModelFileError`.
     """
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise ModelFileError(f"cannot read model file {path}: {exc}") from exc
-    reader = _Reader(blob, path)
-    if reader.take(len(MODEL_MAGIC)) != MODEL_MAGIC:
-        raise ModelFileError(f"{path} is not a model container")
+    reader = ContainerReader(path, MODEL_MAGIC, "model container")
     (version, input_rows, seq_len, bottleneck, hidden, depth,
      head_code, num_labels, tensor_count) = reader.unpack("<IIIIIIBII")
     if version != CONTAINER_VERSION:
         raise ModelFileError(f"{path}: unsupported container version {version}")
     if head_code not in _HEAD_NAMES:
         raise ModelFileError(f"{path}: unknown head code {head_code}")
-    cfg = ModelConfig(
-        input_rows=input_rows,
-        seq_len=seq_len,
-        bottleneck=bottleneck,
-        hidden=hidden,
-        depth=depth,
-        head=_HEAD_NAMES[head_code],
-        num_labels=num_labels,
-    )
+    # param_shapes runs after the tensors are read: bound its work by their count
+    if depth * _TENSORS_PER_LAYER > tensor_count:
+        raise ModelFileError(f"{path}: depth {depth} needs {depth * _TENSORS_PER_LAYER} "
+                             f"tensors, the file has {tensor_count}")
+    try:
+        cfg = ModelConfig(input_rows=input_rows, seq_len=seq_len, bottleneck=bottleneck,
+                          hidden=hidden, depth=depth, head=_HEAD_NAMES[head_code],
+                          num_labels=num_labels)
+    except ValueError as exc:
+        raise ModelFileError(f"{path}: {exc}") from exc
 
     params: ModelParams = {}
     any_quantized = False
@@ -151,17 +125,16 @@ def load_model(path: str) -> tuple[ModelParams, ModelConfig, bool]:
         except UnicodeDecodeError as exc:
             raise ModelFileError(f"{path}: tensor name is not valid UTF-8: {exc}") from exc
         type_tag, rank = reader.unpack("<BB")
-        shape = tuple(reader.unpack(f"<{rank}I")) if rank else ()
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        shape = reader.unpack(f"<{rank}I")
         if type_tag == TENSOR_FLOAT32:
-            data = np.frombuffer(reader.take(4 * count), dtype="<f4")
+            data = reader.array("<f4", shape)
             if not np.isfinite(data).all():
                 raise ModelFileError(f"{path}: tensor {name} holds NaN or infinite values")
-            params[name] = data.astype(np.float32).reshape(shape)
+            params[name] = data.astype(np.float32)
         elif type_tag == TENSOR_INT8:
             any_quantized = True
             (scale,) = reader.unpack("<f")
-            values = np.frombuffer(reader.take(count), dtype=np.int8).reshape(shape)
+            values = reader.array(np.int8, shape)
             try:
                 q = QuantTensor(values=values, scale=scale, shape=shape)
             except ValueError as exc:
@@ -185,61 +158,49 @@ def load_model(path: str) -> tuple[ModelParams, ModelConfig, bool]:
     return params, cfg, any_quantized
 
 
-def save_features(
-    path: str, matrices: Iterable[FeatureMatrix], count: int | None = None
-) -> None:
+def save_features(path: str, matrices: Iterable[FeatureMatrix]) -> None:
     """Dump projected matrices so several models can reuse one extraction.
 
-    ``matrices`` may be a generator when ``count`` gives its length up
-    front: each matrix is written as it arrives, so a dump never has to fit
-    in memory. A dump whose matrices disagree in shape or number with its
-    header is deleted.
+    ``matrices`` may be a generator: each matrix is written as it arrives,
+    so a dump never has to fit in memory. The count and shape go into the
+    header when the stream ends. A dump whose matrices disagree in shape is
+    deleted.
     """
-    if count is None:
-        count = len(matrices)
-    shape = None
-    written = 0
+    shape, count = None, 0
     with open(path, "wb") as fh:
+        fh.write(FEATURES_MAGIC + struct.pack("<IQII", CONTAINER_VERSION, 0, 0, 0))
         try:
             for m in matrices:
                 if shape is None:
                     shape = m.data.shape
-                    fh.write(FEATURES_MAGIC + struct.pack("<IQII", CONTAINER_VERSION, count, *shape))
                 elif m.data.shape != shape:
                     raise ValueError("all feature matrices in one dump must share a shape")
                 fh.write(struct.pack("<I", m.valid_len))
                 fh.write(np.ascontiguousarray(m.data, dtype="<f4").tobytes())
-                written += 1
+                count += 1
                 # hold no matrix while the generator builds its next one, which
                 # may be a view of a batch it can then free
                 del m
-            if shape is None:
-                fh.write(FEATURES_MAGIC + struct.pack("<IQII", CONTAINER_VERSION, count, 0, 0))
-            if written != count:
-                raise ValueError(f"{path}: wrote {written} feature matrices, header says {count}")
         except ValueError:
             fh.close()
             os.remove(path)
             raise
+        fh.seek(len(FEATURES_MAGIC))
+        fh.write(struct.pack("<IQII", CONTAINER_VERSION, count, *(shape or (0, 0))))
 
 
 def load_features(path: str) -> list[FeatureMatrix]:
     """Read a feature dump; each matrix is a read-only float32 view of the file's bytes."""
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise ModelFileError(f"cannot read feature file {path}: {exc}") from exc
-    reader = _Reader(blob, path)
-    if reader.take(len(FEATURES_MAGIC)) != FEATURES_MAGIC:
-        raise ModelFileError(f"{path} is not a feature dump")
+    reader = ContainerReader(path, FEATURES_MAGIC, "feature dump")
     version, count, rows, cols = reader.unpack("<IQII")
     if version != CONTAINER_VERSION:
         raise ModelFileError(f"{path}: unsupported feature dump version {version}")
     out = []
     for _ in range(count):
         (valid_len,) = reader.unpack("<I")
-        data = np.frombuffer(reader.take(4 * rows * cols), dtype="<f4").reshape(rows, cols)
+        if valid_len > cols:
+            raise ModelFileError(f"{path}: valid length {valid_len} exceeds {cols} columns")
+        data = reader.array("<f4", (rows, cols))
         out.append(FeatureMatrix(data=data, valid_len=valid_len))
     reader.finish()
     return out

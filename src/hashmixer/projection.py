@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelFileError
+from .files import ContainerReader
 from .hashing import HashFamily, all_hashes, char_trigrams, minhash_unit
 from .vocab import CONTINUATION_PREFIX, SubwordUnit, Vocabulary, tokenize_word
 
@@ -125,15 +126,8 @@ def save_cache(cache: FingerprintCache, path: str) -> None:
 
 
 def load_cache(path: str, expected_vocab_size: int | None = None) -> FingerprintCache:
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise ModelFileError(f"cannot read cache file {path}: {exc}") from exc
-    head_len = len(CACHE_MAGIC) + struct.calcsize("<IQIB")
-    if len(blob) < head_len or blob[: len(CACHE_MAGIC)] != CACHE_MAGIC:
-        raise ModelFileError(f"{path} is not a fingerprint cache file")
-    version, vocab_size, n_hashes, width = struct.unpack("<IQIB", blob[len(CACHE_MAGIC) : head_len])
+    reader = ContainerReader(path, CACHE_MAGIC, "fingerprint cache file")
+    version, vocab_size, n_hashes, width = reader.unpack("<IQIB")
     if version != CACHE_VERSION:
         raise ModelFileError(f"{path}: unsupported cache version {version}")
     if width not in (32, 64):
@@ -143,11 +137,8 @@ def load_cache(path: str, expected_vocab_size: int | None = None) -> Fingerprint
             f"{path}: cache built for vocabulary of {vocab_size} units, "
             f"got a vocabulary of {expected_vocab_size}"
         )
-    dtype = np.dtype(f"<u{width // 8}")
-    expected_bytes = head_len + vocab_size * n_hashes * dtype.itemsize
-    if len(blob) != expected_bytes:
-        raise ModelFileError(f"{path}: truncated cache table")
-    table = np.frombuffer(blob, dtype=dtype, offset=head_len).reshape(vocab_size, n_hashes)
+    table = reader.array(f"<u{width // 8}", (vocab_size, n_hashes))
+    reader.finish()
     return FingerprintCache(table=table, n_hashes=n_hashes, width=width)
 
 

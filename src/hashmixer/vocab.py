@@ -11,6 +11,7 @@ import unicodedata
 from dataclasses import dataclass
 
 from .errors import DataError
+from .files import read_text
 
 CONTINUATION_PREFIX = "##"
 DEFAULT_UNK = "[UNK]"
@@ -55,12 +56,7 @@ class Vocabulary:
 
 def load_vocab(path: str) -> Vocabulary:
     """Load a newline-separated vocabulary file, preserving order."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot read vocabulary file {path}: {exc}") from exc
-    return Vocabulary.from_units(raw.splitlines())
+    return Vocabulary.from_units(read_text(path, "vocabulary file").splitlines())
 
 
 def save_vocab(units: list[str], path: str) -> None:

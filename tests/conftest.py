@@ -1,10 +1,12 @@
 import os
+import struct
 
 import numpy as np
 import pytest
 
 from hashmixer.data import save_jsonl, synth_examples
 from hashmixer.hashing import HashFamily
+from hashmixer.model_io import MODEL_MAGIC
 from hashmixer.vocab import Vocabulary, save_vocab
 
 
@@ -26,6 +28,20 @@ def synth_dataset(
     save_jsonl(task.val, val_path)
     save_vocab(task.vocab_units, vocab_path)
     return {"train": train_path, "val": val_path, "vocab": vocab_path}
+
+
+MODEL_HEADER = "<IIIIIIBII"
+MODEL_HEADER_FIELDS = ("version", "input_rows", "seq_len", "bottleneck", "hidden", "depth",
+                       "head", "num_labels", "tensor_count")
+
+
+def patch_model_header(path, **changes) -> None:
+    """Rewrite named fields of a model container's header in place."""
+    blob = path.read_bytes()
+    at, end = len(MODEL_MAGIC), len(MODEL_MAGIC) + struct.calcsize(MODEL_HEADER)
+    fields = dict(zip(MODEL_HEADER_FIELDS, struct.unpack(MODEL_HEADER, blob[at:end])))
+    fields.update(changes)
+    path.write_bytes(blob[:at] + struct.pack(MODEL_HEADER, *fields.values()) + blob[end:])
 
 
 @pytest.fixture(scope="session")

@@ -34,7 +34,9 @@ from hashmixer.quantize import quantize_params
 from hashmixer.training import encode_dataset, predict_batches
 from hashmixer.vocab import load_vocab
 
-from conftest import synth_dataset
+from conftest import MODEL_HEADER, patch_model_header, synth_dataset
+
+NOT_UTF8 = b"[UNK]\n\xc3\x28\n"
 
 
 @pytest.fixture(scope="module")
@@ -359,6 +361,54 @@ class TestExitCodes:
             assert run(["train", "--config", str(bad), "--quiet"]) == 2
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert "epoch 1, batch 2: training loss is nan" in capsys.readouterr().err
+
+    @staticmethod
+    def _exits_2_naming(capsys, argv, path):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert str(path) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", ["vocab", "dataset", "config", "labels", "raw_tsv"])
+    def test_non_utf8_input_file_is_data_error(self, trained, workspace, tmp_path, capsys, kind):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(NOT_UTF8)
+        model, config = os.path.join(trained, "model.bin"), workspace["config"]
+        argv = {
+            "vocab": ["build-cache", "--vocab", str(bad), "-o", str(tmp_path / "c.bin")],
+            "dataset": ["project", "--config", config, "--input", str(bad),
+                        "-o", str(tmp_path / "f.bin")],
+            "config": ["params", "--config", str(bad)],
+            "labels": ["predict", "--model", model, "--config", config, "--labels", str(bad),
+                       "--text", "a b"],
+            "raw_tsv": ["import-mtop", "--input", str(bad), "--field-map",
+                        '{"tokens": 0, "slots": 1}', "-o", str(tmp_path / "o.jsonl")],
+        }[kind]
+        self._exits_2_naming(capsys, argv + ["--quiet"], bad)
+
+    def test_truncated_labels_file_is_data_error(self, trained, workspace, tmp_path, capsys):
+        labels = tmp_path / "labels.json"
+        text = open(os.path.join(trained, "labels.json"), encoding="utf-8").read()
+        labels.write_text(text[: len(text) // 2], encoding="utf-8")
+        self._exits_2_naming(capsys, ["predict", "--model", os.path.join(trained, "model.bin"),
+                                      "--config", workspace["config"], "--labels", str(labels),
+                                      "--text", "a b", "--quiet"], labels)
+
+    @pytest.mark.parametrize("fault", ["zero_hidden", "wrapping_shape", "huge_depth"])
+    def test_model_header_faults_are_data_errors(self, trained, tmp_path, capsys, fault):
+        path = tmp_path / "model.bin"
+        path.write_bytes(open(os.path.join(trained, "model.bin"), "rb").read())
+        if fault == "zero_hidden":
+            patch_model_header(path, hidden=0)
+        elif fault == "huge_depth":
+            patch_model_header(path, depth=2**32 - 1)
+        else:  # 65536**4 elements wrap a 64-bit element count to 0
+            name = b"bottleneck.weight"
+            path.write_bytes(path.read_bytes()[: len(MODEL_MAGIC) + struct.calcsize(MODEL_HEADER)]
+                             + struct.pack("<H", len(name)) + name
+                             + struct.pack("<BB4I", 0, 4, *(65536,) * 4))
+        self._exits_2_naming(capsys, ["quantize", "--model", str(path),
+                                      "-o", str(tmp_path / "q.bin"), "--quiet"], path)
 
     def test_cache_hash_count_mismatch_is_data_error(self, workspace, tmp_path):
         cache_path = str(tmp_path / "c8.bin")

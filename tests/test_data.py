@@ -75,6 +75,19 @@ class TestJsonl:
         save_jsonl(examples, path)
         assert load_jsonl(path) == examples
 
+    def test_lines_split_on_newlines_only(self, tmp_path):
+        # save_jsonl writes U+2028 and U+0085 unescaped; "\r\n" and "\r" end a line
+        examples = [Example(tokens=["a\u2028b", "c\x85d"], slot_labels=["O", "O"]),
+                    Example(tokens=["e"], class_label="k")]
+        path = tmp_path / "u.jsonl"
+        save_jsonl(examples, str(path))
+        with open(path, "a", encoding="utf-8", newline="") as fh:
+            fh.write('{"tokens": ["f"], "label": "z"}\r\n{"tokens": ["g"], "label": "z"}\r\n[]')
+        with pytest.raises(DataError, match=":5:"):
+            load_jsonl(str(path))
+        path.write_bytes(path.read_bytes()[:-2])
+        assert load_jsonl(str(path))[:2] == examples
+
 
 class TestLabelInventory:
     def test_order_is_first_appearance(self):

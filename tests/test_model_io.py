@@ -2,10 +2,14 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hashmixer.errors import ModelFileError
+from hashmixer.hashing import HashFamily
 from hashmixer.mixer import ModelConfig, init_params
 from hashmixer.model_io import (
+    FEATURES_MAGIC,
     MODEL_MAGIC,
     load_features,
     load_model,
@@ -13,8 +17,11 @@ from hashmixer.model_io import (
     save_model,
     save_quantized_model,
 )
-from hashmixer.projection import FeatureMatrix
+from hashmixer.projection import FeatureMatrix, build_cache, load_cache, save_cache
 from hashmixer.quantize import dequantize, quantize_params
+from hashmixer.vocab import Vocabulary
+
+from conftest import MODEL_HEADER, patch_model_header
 
 
 @pytest.fixture()
@@ -133,6 +140,32 @@ class TestModelContainer:
         with pytest.raises(ModelFileError, match="7 trailing bytes"):
             load_model(str(path))
 
+    @pytest.mark.parametrize("field", ["input_rows", "seq_len", "bottleneck", "hidden",
+                                       "num_labels"])
+    def test_zero_header_field_rejected(self, cfg, tmp_path, field):
+        path = tmp_path / "model.bin"
+        save_model(str(path), init_params(cfg, seed=6), cfg)
+        patch_model_header(path, **{field: 0})
+        with pytest.raises(ModelFileError, match=f"{field} must be >= 1"):
+            load_model(str(path))
+
+    def test_wrapping_tensor_shape_rejected(self, tmp_path):
+        # 65536**4 elements wrap a 64-bit element count to 0
+        name = b"bottleneck.weight"
+        path = tmp_path / "model.bin"
+        path.write_bytes(MODEL_MAGIC + struct.pack(MODEL_HEADER, 1, 24, 8, 12, 10, 0, 1, 7, 1)
+                         + struct.pack("<H", len(name)) + name
+                         + struct.pack("<BB4I", 0, 4, *(65536,) * 4))
+        with pytest.raises(ModelFileError, match="truncated"):
+            load_model(str(path))
+
+    def test_corrupt_depth_rejected_before_layers_are_listed(self, cfg, tmp_path):
+        path = tmp_path / "model.bin"
+        save_model(str(path), init_params(cfg, seed=6), cfg)
+        patch_model_header(path, depth=2**32 - 1)
+        with pytest.raises(ModelFileError, match="depth 4294967295 needs 51539607540 tensors"):
+            load_model(str(path))
+
 
 class TestFeatureDump:
     def test_round_trip(self, tmp_path, rng):
@@ -171,18 +204,35 @@ class TestFeatureDump:
         save_features(path, [])
         assert load_features(path) == []
 
-    def test_generator_with_count_matches_list(self, tmp_path, rng):
+    def test_generator_matches_list(self, tmp_path, rng):
         mats = [FeatureMatrix(data=rng.normal(size=(6, 4)), valid_len=v) for v in (1, 2, 3)]
         listed, streamed = tmp_path / "list.bin", tmp_path / "stream.bin"
         save_features(str(listed), mats)
-        save_features(str(streamed), (m for m in mats), count=len(mats))
+        save_features(str(streamed), (m for m in mats))
         assert streamed.read_bytes() == listed.read_bytes()
+        version, count, rows, cols = struct.unpack_from("<IQII", listed.read_bytes(), 8)
+        assert (version, count, rows, cols) == (1, 3, 6, 4)
 
-    def test_count_mismatch_rejected(self, tmp_path):
-        mats = [FeatureMatrix(data=np.zeros((4, 3)), valid_len=1)] * 2
-        with pytest.raises(ValueError, match="header says 3"):
-            save_features(str(tmp_path / "f.bin"), iter(mats), count=3)
-        assert not (tmp_path / "f.bin").exists()
+    def test_dump_cut_short_is_rejected(self, tmp_path):
+        # the count is written when the stream ends; a stream that dies leaves a zero header
+        def failing():
+            yield FeatureMatrix(data=np.zeros((4, 3)), valid_len=1)
+            raise RuntimeError("featurizer died")
+
+        path = tmp_path / "f.bin"
+        with pytest.raises(RuntimeError):
+            save_features(str(path), failing())
+        with pytest.raises(ModelFileError, match="52 trailing bytes"):
+            load_features(str(path))
+
+    def test_valid_len_beyond_columns_rejected(self, tmp_path):
+        path = tmp_path / "f.bin"
+        save_features(str(path), [FeatureMatrix(data=np.zeros((4, 3)), valid_len=3)])
+        blob = bytearray(path.read_bytes())
+        blob[len(FEATURES_MAGIC) + struct.calcsize("<IQII")] = 4
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ModelFileError, match="valid length 4 exceeds 3 columns"):
+            load_features(str(path))
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "features.bin"
@@ -190,3 +240,57 @@ class TestFeatureDump:
         path.write_bytes(path.read_bytes() + b"\x00" * 7)
         with pytest.raises(ModelFileError, match="7 trailing bytes"):
             load_features(str(path))
+
+
+@pytest.fixture(scope="module")
+def containers(tmp_path_factory):
+    """A tiny float32 model, its int8 form, a 3-example feature dump and a tiny cache."""
+    root = tmp_path_factory.mktemp("containers")
+    cfg = ModelConfig(input_rows=4, seq_len=3, bottleneck=2, hidden=2, depth=1,
+                      head="pooled", num_labels=2)
+    params = init_params(cfg, seed=1)
+    save_model(str(root / "model.bin"), params, cfg)
+    save_quantized_model(str(root / "model.q.bin"), quantize_params(params), cfg)
+    save_features(str(root / "features.bin"), [
+        FeatureMatrix(data=np.full((2, 3), v, np.float32), valid_len=v) for v in (0, 2, 3)])
+    vocab = Vocabulary.from_units(["[UNK]", "a", "##b"])
+    save_cache(build_cache(vocab, HashFamily(2)), str(root / "cache.bin"))
+    return root
+
+
+_LOADERS = {"model.bin": load_model, "model.q.bin": load_model,
+            "features.bin": load_features, "cache.bin": load_cache}
+
+
+def _loads_or_rejects(name, path, blob, case):
+    path.write_bytes(blob)
+    try:
+        _LOADERS[name](str(path))
+    except ModelFileError:
+        pass
+    except Exception as exc:  # anything else would reach the user as a stray error
+        pytest.fail(f"{name}, {case}: {type(exc).__name__}: {exc}")
+
+
+class TestContainerFuzz:
+    """Every damaged container loads or raises ModelFileError, never anything else."""
+
+    @pytest.mark.parametrize("name", sorted(_LOADERS))
+    def test_every_truncation_and_byte_mutation(self, containers, tmp_path, name):
+        blob = (containers / name).read_bytes()
+        path = tmp_path / name
+        for n in range(len(blob)):
+            _loads_or_rejects(name, path, blob[:n], f"cut to {n} bytes")
+        for i, old in enumerate(blob):
+            for new in {0x00, 0xFF, old ^ 0x80} - {old}:
+                _loads_or_rejects(name, path, blob[:i] + bytes([new]) + blob[i + 1:],
+                                  f"byte {i} set to {new:#04x}")
+
+    @settings(max_examples=200, deadline=None)
+    @given(name=st.sampled_from(sorted(_LOADERS)), position=st.integers(0, 2**16),
+           value=st.integers(0, 255))
+    def test_random_byte_mutation(self, containers, name, position, value):
+        blob = bytearray((containers / name).read_bytes())
+        blob[position % len(blob)] = value
+        _loads_or_rejects(name, containers / f"mutated-{name}", bytes(blob),
+                          f"byte {position % len(blob)} set to {value:#04x}")
