@@ -124,6 +124,8 @@ def load_model(path: str) -> tuple[ModelParams, ModelConfig, bool]:
             name = str(reader.take(name_len), "utf-8")
         except UnicodeDecodeError as exc:
             raise ModelFileError(f"{path}: tensor name is not valid UTF-8: {exc}") from exc
+        if name in params:
+            raise ModelFileError(f"{path}: tensor {name} appears more than once")
         type_tag, rank = reader.unpack("<BB")
         shape = reader.unpack(f"<{rank}I")
         if type_tag == TENSOR_FLOAT32:
@@ -150,6 +152,9 @@ def load_model(path: str) -> tuple[ModelParams, ModelConfig, bool]:
     missing = sorted(set(expected) - set(params))
     if missing:
         raise ModelFileError(f"{path}: missing tensors {missing}")
+    unknown = sorted(set(params) - set(expected))
+    if unknown:
+        raise ModelFileError(f"{path}: tensors {unknown} are not parameters of this model")
     for name, shape in expected.items():
         if params[name].shape != shape:
             raise ModelFileError(

@@ -30,8 +30,8 @@ import numpy as np
 
 from .errors import ModelFileError
 from .files import ContainerReader
-from .hashing import HashFamily, all_hashes, char_trigrams, minhash_unit
-from .vocab import CONTINUATION_PREFIX, SubwordUnit, Vocabulary, tokenize_word
+from .hashing import HashFamily, all_hashes, char_trigrams, minhash_units
+from .vocab import SubwordUnit, Vocabulary, tokenize_word
 
 PROJECTION_KINDS = ("minhash", "binary", "tsp", "simhash")
 
@@ -98,20 +98,9 @@ class FingerprintCache:
         return self.table.shape[0]
 
 
-def unit_fingerprint(family: HashFamily, unit_text: str, width: int = 64) -> np.ndarray:
-    """Fingerprint of one vocabulary unit, truncated to the cache width."""
-    fp = minhash_unit(family, unit_text, is_continuation=unit_text.startswith(CONTINUATION_PREFIX))
-    if width == 32:
-        return (fp & np.uint64(0xFFFFFFFF)).astype(np.uint32)
-    return fp
-
-
 def build_cache(vocab: Vocabulary, family: HashFamily, width: int = 64) -> FingerprintCache:
     """Precompute the fingerprint of every vocabulary unit."""
-    dtype = np.uint32 if width == 32 else np.uint64
-    table = np.empty((len(vocab), family.size_n), dtype=dtype)
-    for row, unit in enumerate(vocab.units):
-        table[row] = unit_fingerprint(family, unit, width=width)
+    table = minhash_units(family, vocab.units, dtype=np.uint32 if width == 32 else np.uint64)
     table.setflags(write=False)
     return FingerprintCache(table=table, n_hashes=family.size_n, width=width)
 

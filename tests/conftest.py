@@ -44,6 +44,13 @@ def patch_model_header(path, **changes) -> None:
     path.write_bytes(blob[:at] + struct.pack(MODEL_HEADER, *fields.values()) + blob[end:])
 
 
+class TensorList(list):
+    """``(name, tensor)`` pairs that ``save_model`` writes as listed, repeated names included."""
+
+    def items(self):
+        return self
+
+
 @pytest.fixture(scope="session")
 def family64() -> HashFamily:
     return HashFamily(64)

@@ -34,7 +34,7 @@ from hashmixer.quantize import quantize_params
 from hashmixer.training import encode_dataset, predict_batches
 from hashmixer.vocab import load_vocab
 
-from conftest import MODEL_HEADER, patch_model_header, synth_dataset
+from conftest import MODEL_HEADER, TensorList, patch_model_header, synth_dataset
 
 NOT_UTF8 = b"[UNK]\n\xc3\x28\n"
 
@@ -363,11 +363,13 @@ class TestExitCodes:
         assert "epoch 1, batch 2: training loss is nan" in capsys.readouterr().err
 
     @staticmethod
-    def _exits_2_naming(capsys, argv, path):
+    def _exits_2_naming(capsys, argv, path, *names):
         assert run(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
         assert str(path) in err and "Traceback" not in err
+        for name in names:
+            assert name in err
 
     @pytest.mark.parametrize("kind", ["vocab", "dataset", "config", "labels", "raw_tsv"])
     def test_non_utf8_input_file_is_data_error(self, trained, workspace, tmp_path, capsys, kind):
@@ -409,6 +411,26 @@ class TestExitCodes:
                              + struct.pack("<BB4I", 0, 4, *(65536,) * 4))
         self._exits_2_naming(capsys, ["quantize", "--model", str(path),
                                       "-o", str(tmp_path / "q.bin"), "--quiet"], path)
+
+    @pytest.mark.parametrize("command", ["eval", "quantize"])
+    @pytest.mark.parametrize("fault", ["unknown", "repeated"])
+    def test_model_tensor_faults_are_data_errors(self, trained, workspace, tmp_path, capsys,
+                                                 command, fault):
+        params, cfg, _ = load_model(os.path.join(trained, "model.bin"))
+        path = tmp_path / "model.bin"
+        if fault == "unknown":
+            name = "junk"
+            save_model(str(path), {**params, name: np.ones(3)}, cfg)
+        else:
+            name = "head.bias"
+            save_model(str(path), TensorList([*params.items(), (name, params[name])]), cfg)
+        argv = {
+            "eval": ["eval", "--model", str(path), "--data", workspace["paths"]["val"],
+                     "--config", workspace["config"],
+                     "--labels", os.path.join(trained, "labels.json")],
+            "quantize": ["quantize", "--model", str(path), "-o", str(tmp_path / "q.bin")],
+        }[command]
+        self._exits_2_naming(capsys, argv + ["--quiet"], path, name)
 
     def test_cache_hash_count_mismatch_is_data_error(self, workspace, tmp_path):
         cache_path = str(tmp_path / "c8.bin")

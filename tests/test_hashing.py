@@ -6,12 +6,17 @@ so a regression in either side shows up as a disagreement.
 """
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hashmixer.projection import build_cache
+from hashmixer.vocab import Vocabulary
+
+from hashmixer import hashing
 from hashmixer.hashing import (
     MASK64,
     HashFamily,
@@ -19,6 +24,7 @@ from hashmixer.hashing import (
     char_trigrams,
     fnv1a64,
     minhash_unit,
+    minhash_units,
     splitmix64,
     splitmix64_array,
     string_hash,
@@ -39,6 +45,23 @@ def ref_splitmix64(x: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
     return z ^ (z >> 31)
+
+
+def ref_minhash(unit: str, n_hashes: int) -> list[int]:
+    """Plain-integer MinHash: trigrams, or the whole unit if it is a ``##`` unit or short."""
+    if unit.startswith("##") or len(unit) < 3:
+        grams = [unit]
+    else:
+        grams = [unit[k : k + 3] for k in range(len(unit) - 2)]
+    fnvs = [ref_fnv1a64(g.encode("utf-8")) for g in grams]
+    return [min(ref_splitmix64(f ^ ref_splitmix64(i + 1)) for f in fnvs) for i in range(n_hashes)]
+
+
+def vector_inputs() -> list[str]:
+    """The distinct non-empty inputs of the committed hash vectors."""
+    with open(VECTORS_PATH, encoding="utf-8") as fh:
+        texts = [line.rstrip("\n").split("\t")[0] for line in fh if line.rstrip("\n")]
+    return list(dict.fromkeys(t for t in texts if t))
 
 
 class TestFnv1a64:
@@ -189,3 +212,97 @@ class TestMinhashUnit:
         longer = minhash_unit(family, base + suffix)
         shorter = minhash_unit(family, base)
         assert np.all(longer <= shorter)
+
+
+LONG_UNIT = "x" * 200 + "é中🙂" * 50 + "\x00" * 150  # 500 characters
+
+# every kind of unit the batched build groups differently
+EDGE_UNITS = [
+    "a", "ab", "abc", "abcd",           # 1, 2 and 3 characters (whole), 4 (two trigrams)
+    "##", "##x", "##xyz",                # continuations are hashed whole at any length
+    "é", "éa", "aéb", "naïveté",        # 2-byte UTF-8
+    "中", "中文", "中文字", "中文字符",   # 3-byte UTF-8
+    "🙂", "🙂ab", "a🙂b🙂", "##🙂",       # 4-byte UTF-8
+    LONG_UNIT, "##" + LONG_UNIT,           # among short ones
+    "नमस्ते", "क्षत्रिय", "##ि",           # Devanagari with combining marks
+    "\x00", "a\x00", "a\x00b", "ab\x00", "\x00\x00\x00", "##\x00",  # U+0000 inside and at the end
+]
+
+
+class TestMinhashUnits:
+    @pytest.mark.parametrize("n_hashes", [1, 64])
+    def test_rows_equal_scalar_and_reference(self, n_hashes):
+        units = EDGE_UNITS + vector_inputs()
+        family = HashFamily(n_hashes)
+        table = minhash_units(family, units)
+        assert table.shape == (len(units), n_hashes) and table.dtype == np.uint64
+        for row, unit in enumerate(units):
+            scalar = minhash_unit(family, unit, is_continuation=unit.startswith("##"))
+            assert np.array_equal(table[row], scalar), unit
+            assert [int(v) for v in table[row]] == ref_minhash(unit, n_hashes), unit
+
+    @pytest.mark.parametrize("n_hashes", [1, 64])
+    @pytest.mark.parametrize("width", [32, 64])
+    def test_build_cache_rows_equal_reference(self, n_hashes, width):
+        units = list(dict.fromkeys(["[UNK]"] + EDGE_UNITS + vector_inputs()))
+        cache = build_cache(Vocabulary.from_units(units), HashFamily(n_hashes), width=width)
+        assert cache.table.dtype == (np.uint32 if width == 32 else np.uint64)
+        mask = (1 << width) - 1
+        for row, unit in enumerate(units):
+            expected = [v & mask for v in ref_minhash(unit, n_hashes)]
+            assert [int(v) for v in cache.table[row]] == expected, unit
+
+    @pytest.mark.parametrize("width", [32, 64])
+    def test_unk_only_vocabulary(self, family64, width):
+        cache = build_cache(Vocabulary.from_units(["[UNK]"]), family64, width=width)
+        expected = [v & ((1 << width) - 1) for v in ref_minhash("[UNK]", 64)]
+        assert [int(v) for v in cache.table[0]] == expected
+
+    def test_rows_follow_input_order_across_blocks(self, family64, monkeypatch):
+        # blocks of a few units each: every group spans several blocks
+        monkeypatch.setattr(hashing, "_BLOCK_VALUES", 3 * 64)
+        units = [f"w{i}{'z' * (i % 7)}" for i in range(200)] + [f"##{i}" for i in range(50)]
+        table = minhash_units(family64, units)
+        for row, unit in enumerate(units):
+            assert np.array_equal(table[row], minhash_unit(family64, unit, unit.startswith("##")))
+
+    def test_low_halves_for_uint32(self, family64):
+        wide = minhash_units(family64, EDGE_UNITS)
+        narrow = minhash_units(family64, EDGE_UNITS, dtype=np.uint32)
+        assert np.array_equal(narrow, (wide & np.uint64(0xFFFFFFFF)).astype(np.uint32))
+
+    def test_no_units(self, family64):
+        assert minhash_units(family64, []).shape == (0, 64)
+
+    def test_empty_unit_rejected(self, family64):
+        with pytest.raises(ValueError, match="empty"):
+            minhash_units(family64, ["a", ""])
+
+    def test_transient_memory_is_bounded_by_blocks(self):
+        # 40,000 units of 1 to 12 characters: the table is 20 MB and the build
+        # may hold at most 8 MiB more at any time
+        rng = np.random.default_rng(3)
+        units = ["".join(rng.choice(list("abcdéf中🙂"), size=k)) for k in rng.integers(1, 13, 40_000)]
+        tracemalloc.start()
+        try:
+            table = minhash_units(HashFamily(64), units)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - table.nbytes < 8 * 2**20
+
+    @given(st.lists(
+        st.one_of(
+            st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\r"),
+                    min_size=1, max_size=12),
+            st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\r"),
+                    max_size=6).map(lambda t: "##" + t),
+        ),
+        min_size=1, max_size=20,
+    ))
+    @settings(max_examples=150, deadline=None)
+    def test_random_units_match_scalar(self, units):
+        family = HashFamily(8)
+        table = minhash_units(family, units)
+        for row, unit in enumerate(units):
+            assert np.array_equal(table[row], minhash_unit(family, unit, unit.startswith("##")))

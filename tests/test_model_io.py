@@ -21,7 +21,7 @@ from hashmixer.projection import FeatureMatrix, build_cache, load_cache, save_ca
 from hashmixer.quantize import dequantize, quantize_params
 from hashmixer.vocab import Vocabulary
 
-from conftest import MODEL_HEADER, patch_model_header
+from conftest import MODEL_HEADER, TensorList, patch_model_header
 
 
 @pytest.fixture()
@@ -109,6 +109,26 @@ class TestModelContainer:
         path = str(tmp_path / "model.bin")
         save_model(path, partial, cfg)
         with pytest.raises(ModelFileError, match="head.query"):
+            load_model(path)
+
+    @pytest.mark.parametrize("quantized", [False, True])
+    def test_unknown_tensor_rejected(self, cfg, tmp_path, quantized):
+        params = {**init_params(cfg, seed=6), "junk": np.ones(3)}
+        path = str(tmp_path / "model.bin")
+        if quantized:
+            save_quantized_model(path, quantize_params(params), cfg)
+        else:
+            save_model(path, params, cfg)
+        with pytest.raises(ModelFileError,
+                           match=r"model\.bin: tensors \['junk'\] are not parameters of this model"):
+            load_model(path)
+
+    def test_repeated_tensor_rejected(self, cfg, tmp_path):
+        params = init_params(cfg, seed=6)
+        path = str(tmp_path / "model.bin")
+        # every parameter once, then head.bias again: a later copy must not overwrite the first
+        save_model(path, TensorList([*params.items(), ("head.bias", params["head.bias"] + 1)]), cfg)
+        with pytest.raises(ModelFileError, match=r"model\.bin: tensor head\.bias appears more than once"):
             load_model(path)
 
     def test_missing_file(self, tmp_path):

@@ -18,7 +18,6 @@ from hashmixer.projection import (
     token_feature,
     token_fingerprint,
     tsp_feature,
-    unit_fingerprint,
 )
 from hashmixer.vocab import SubwordUnit, Vocabulary, tokenize_word
 
