@@ -161,9 +161,19 @@ def _import_rows(raw_path: str, field_map: dict, out_path: str, columns: tuple[s
     ``parse`` turns a row's two cells named by ``columns`` into an example
     labeled in ``field``, or returns ``None`` to skip the row.
     """
+    for name in columns:
+        if name not in field_map:
+            raise ValueError(f"field map is missing the column key {name!r}")
+        col = field_map[name]
+        if isinstance(col, bool) or not isinstance(col, int) or col < 0:
+            raise ValueError(f"field map key {name!r} must be a non-negative column index, "
+                             f"not {col!r}")
     cols = [field_map[name] for name in columns]
     width = max(cols) + 1
     delimiter = field_map.get("delimiter", "\t")
+    if not isinstance(delimiter, str) or not delimiter:
+        raise ValueError(
+            f"field map key 'delimiter' must be a non-empty string, not {delimiter!r}")
     skip_header = bool(field_map.get("skip_header", False))
     examples: list[Example] = []
     skipped: list[int] = []

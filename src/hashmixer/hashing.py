@@ -6,10 +6,14 @@ family is splitmix64 applied to an FNV-1a digest XORed with a per-function
 seed; seeds themselves derive from splitmix64, so a family is fully determined
 by its size.
 
+A subword unit's *grams* are its character trigrams, or the whole unit when
+it is shorter than three characters. One rule decides continuations: a unit
+whose text starts with ``##`` is a continuation and is hashed whole, as a
+single gram, wherever it appears in a word. :func:`gram_hashes` gives every
+hash value of a unit's grams; the simhash baseline votes with all of them.
+
 A *fingerprint* is a uint64 ndarray of shape ``(n,)``: entry ``i`` is the
-minimum of hash function ``i`` over the character trigrams of a subword unit
-(or the hash of the whole unit for ``##`` continuations and units shorter
-than three characters).
+minimum of hash function ``i`` over a unit's grams.
 
 :func:`minhash_unit` computes one fingerprint with scalar FNV-1a and is the
 reference. :func:`minhash_units` computes the same fingerprints for a whole
@@ -107,21 +111,18 @@ def char_trigrams(s: str) -> list[str]:
     return [s[i : i + 3] for i in range(len(s) - 2)]
 
 
-def minhash_unit(family: HashFamily, unit: str, is_continuation: bool = False) -> np.ndarray:
-    """MinHash fingerprint of one subword unit.
-
-    Head units hash their character trigrams and keep the per-function
-    minimum; continuation units (``##`` prefix included in the hashed text)
-    hash the whole string directly.
-    """
+def gram_hashes(family: HashFamily, unit: str) -> np.ndarray:
+    """Every hash value of a subword unit's grams, as a ``(grams, n)`` uint64 array."""
     if not unit:
         raise ValueError("cannot fingerprint an empty subword unit")
-    if is_continuation:
-        return all_hashes(family, unit)
-    grams = char_trigrams(unit)
+    grams = [unit] if unit.startswith(CONTINUATION_PREFIX) else char_trigrams(unit)
     fnvs = np.array([fnv1a64(g.encode("utf-8")) for g in grams], dtype=np.uint64)
-    table = splitmix64_array(fnvs[:, None] ^ family.seeds[None, :])
-    return table.min(axis=0)
+    return splitmix64_array(fnvs[:, None] ^ family.seeds[None, :])
+
+
+def minhash_unit(family: HashFamily, unit: str) -> np.ndarray:
+    """MinHash fingerprint of one subword unit: the column minima of its :func:`gram_hashes`."""
+    return gram_hashes(family, unit).min(axis=0)
 
 
 # hash values per block of minhash_units: bounds its (grams, n) table to 512 KiB
@@ -131,10 +132,10 @@ _BLOCK_VALUES = 1 << 16
 def minhash_units(family: HashFamily, units: Sequence[str], dtype=np.uint64) -> np.ndarray:
     """:func:`minhash_unit` of every unit, one row each, as a ``(len(units), n)`` array.
 
-    A unit starting with ``##`` is a continuation. Units are grouped by
-    length and by whether they are hashed whole, so every unit of a group has
-    the same number of grams, each of the same number of characters. Each
-    group is hashed in blocks of at most ``_BLOCK_VALUES`` hash values.
+    Units are grouped by length and by whether they are hashed whole, so
+    every unit of a group has the same number of grams, each of the same
+    number of characters. Each group is hashed in blocks of at most
+    ``_BLOCK_VALUES`` hash values.
     ``dtype`` ``np.uint32`` keeps the low 32 bits of each value.
     """
     n = family.size_n

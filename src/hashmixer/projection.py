@@ -2,8 +2,8 @@
 
 The main path turns a token sequence into a ``(2w+1)*m x s`` float matrix:
 
-* tokenize each token into subword units,
-* look up the units' precomputed MinHash fingerprints and take the
+* tokenize each token into subword units, as vocabulary rows,
+* look up those rows' precomputed MinHash fingerprints and take the
   elementwise minimum (no string hashing at inference time),
 * scatter the ``n`` fingerprint values into an ``m``-counter array
   (a Counting Bloom Filter), and
@@ -17,8 +17,13 @@ featurizer's token table plus, for every window slot of every position, the
 table row it holds.
 
 Binary, ternary-pair (tsp) and simhash baseline features share the tokenizer
-and hash family but skip the cache; they exist for head-to-head comparisons
-against the counting features.
+and hash family but skip the cache and hash the units' texts; they exist for
+head-to-head comparisons against the counting features.
+
+A unit whose text starts with ``##`` is a continuation and is hashed whole,
+wherever it appears in a word; any other unit is hashed by its character
+trigrams (:func:`hashing.gram_hashes`). The cache and simhash follow this one
+rule; binary and tsp hash every unit whole.
 """
 
 from __future__ import annotations
@@ -30,8 +35,8 @@ import numpy as np
 
 from .errors import ModelFileError
 from .files import ContainerReader
-from .hashing import HashFamily, all_hashes, char_trigrams, minhash_units
-from .vocab import SubwordUnit, Vocabulary, tokenize_word
+from .hashing import HashFamily, all_hashes, gram_hashes, minhash_units
+from .vocab import Vocabulary, tokenize_word
 
 PROJECTION_KINDS = ("minhash", "binary", "tsp", "simhash")
 
@@ -131,16 +136,10 @@ def load_cache(path: str, expected_vocab_size: int | None = None) -> Fingerprint
     return FingerprintCache(table=table, n_hashes=n_hashes, width=width)
 
 
-def token_fingerprint(
-    units: list[SubwordUnit], cache: FingerprintCache, vocab: Vocabulary
-) -> np.ndarray:
-    """Elementwise minimum of the units' cached fingerprint rows."""
-    if not units:
+def token_fingerprint(rows: list[int], cache: FingerprintCache) -> np.ndarray:
+    """Elementwise minimum of the cached fingerprints of a token's vocabulary rows."""
+    if not rows:
         raise ValueError("token_fingerprint needs at least one subword unit")
-    try:
-        rows = [vocab.index[u.text] for u in units]
-    except KeyError as exc:
-        raise LookupError(f"subword unit {exc.args[0]!r} is not in the vocabulary") from exc
     return cache.table[rows].min(axis=0)
 
 
@@ -154,38 +153,17 @@ def counting_feature(fingerprint: np.ndarray, m: int) -> np.ndarray:
     return counters
 
 
-def _whole_unit_hashes(units: list[SubwordUnit], family: HashFamily) -> np.ndarray:
-    """All hash values of the full unit strings, one row per unit."""
-    return np.stack([all_hashes(family, u.text) for u in units])
-
-
-def _minhash_style_hashes(units: list[SubwordUnit], family: HashFamily) -> np.ndarray:
-    """Hash values computed as for MinHash, but all of them, not the minima.
-
-    Head units contribute one row per trigram, continuations one row for the
-    whole unit.
-    """
-    rows = []
-    for u in units:
-        if u.is_continuation:
-            rows.append(all_hashes(family, u.text))
-        else:
-            for gram in char_trigrams(u.text):
-                rows.append(all_hashes(family, gram))
-    return np.stack(rows)
-
-
-def binary_feature(units: list[SubwordUnit], family: HashFamily, m: int) -> np.ndarray:
+def binary_feature(units: list[str], family: HashFamily, m: int) -> np.ndarray:
     """Bitmap of size m: every whole-unit hash value sets one position."""
     if not units:
         raise ValueError("binary_feature needs at least one subword unit")
     bitmap = np.zeros(m, dtype=np.float64)
-    values = _whole_unit_hashes(units, family)
+    values = np.stack([all_hashes(family, u) for u in units])
     bitmap[(values % np.uint64(m)).astype(np.intp).ravel()] = 1.0
     return bitmap
 
 
-def tsp_feature(units: list[SubwordUnit], family: HashFamily, m: int) -> np.ndarray:
+def tsp_feature(units: list[str], family: HashFamily, m: int) -> np.ndarray:
     """Ternary feature: map consecutive bitmap bit pairs to {-1, 0, +1}."""
     if m % 2 != 0:
         raise ValueError("tsp feature size must be even")
@@ -197,8 +175,8 @@ def tsp_feature(units: list[SubwordUnit], family: HashFamily, m: int) -> np.ndar
     return out
 
 
-def simhash_feature(units: list[SubwordUnit], family: HashFamily, l: int) -> np.ndarray:
-    """Sign histogram over the low ``l`` bits of MinHash-style hash values.
+def simhash_feature(units: list[str], family: HashFamily, l: int) -> np.ndarray:
+    """Sign histogram over the low ``l`` bits of the units' :func:`gram_hashes`.
 
     Each hash value votes +1 where its bit is set and -1 where it is clear;
     a non-negative tally yields 1.0 (ties included), a negative one 0.0.
@@ -207,7 +185,7 @@ def simhash_feature(units: list[SubwordUnit], family: HashFamily, l: int) -> np.
         raise ValueError("simhash bit count must be in 1..64")
     if not units:
         raise ValueError("simhash_feature needs at least one subword unit")
-    values = _minhash_style_hashes(units, family)
+    values = np.concatenate([gram_hashes(family, u) for u in units])
     bits = (values[:, :, None] >> np.arange(l, dtype=np.uint64)) & np.uint64(1)
     histogram = (2.0 * bits.astype(np.float64) - 1.0).sum(axis=(0, 1))
     return (histogram >= 0.0).astype(np.float64)
@@ -246,11 +224,12 @@ def token_feature(
     family: HashFamily | None = None,
 ) -> np.ndarray:
     """Per-token feature vector for the configured projection kind."""
-    units = tokenize_word(token, vocab)
+    rows = tokenize_word(token, vocab)
     if cfg.kind == "minhash":
         if cache is None:
             raise ValueError("minhash projection requires a fingerprint cache")
-        return counting_feature(token_fingerprint(units, cache, vocab), cfg.feature_size)
+        return counting_feature(token_fingerprint(rows, cache), cfg.feature_size)
+    units = [vocab.units[r] for r in rows]
     if family is None:
         family = HashFamily(cfg.n_hashes)
     if cfg.kind == "binary":

@@ -18,16 +18,6 @@ DEFAULT_UNK = "[UNK]"
 
 
 @dataclass(frozen=True)
-class SubwordUnit:
-    text: str
-    is_continuation: bool
-
-    def __post_init__(self) -> None:
-        if not self.text:
-            raise ValueError("subword unit text must be non-empty")
-
-
-@dataclass(frozen=True)
 class Vocabulary:
     """Ordered subword units with a reverse index."""
 
@@ -86,30 +76,24 @@ def pre_tokenize(text: str) -> list[str]:
     return tokens
 
 
-def tokenize_word(word: str, vocab: Vocabulary) -> list[SubwordUnit]:
-    """Greedy longest-match-first WordPiece split of one word.
+def tokenize_word(word: str, vocab: Vocabulary) -> list[int]:
+    """Vocabulary rows of the greedy longest-match-first WordPiece split of one word.
 
     After the first piece, candidates are looked up with the ``##`` prefix.
     If at any step no vocabulary unit matches, the whole word maps to the
-    unknown token.
+    unknown token's row.
     """
     if not word:
         raise ValueError("cannot tokenize an empty word")
-    units: list[SubwordUnit] = []
+    rows: list[int] = []
     start = 0
     while start < len(word):
+        prefix = CONTINUATION_PREFIX if start > 0 else ""
         end = len(word)
-        piece = None
-        while start < end:
-            candidate = word[start:end]
-            if start > 0:
-                candidate = CONTINUATION_PREFIX + candidate
-            if candidate in vocab.index:
-                piece = candidate
-                break
+        while (row := vocab.index.get(prefix + word[start:end])) is None:
             end -= 1
-        if piece is None:
-            return [SubwordUnit(DEFAULT_UNK, is_continuation=False)]
-        units.append(SubwordUnit(piece, is_continuation=start > 0))
+            if end == start:
+                return [vocab.index[DEFAULT_UNK]]
+        rows.append(row)
         start = end
-    return units
+    return rows

@@ -291,11 +291,26 @@ class TestImporters:
         summary = json.loads(capsys.readouterr().out.strip())
         assert summary == {"examples": 1, "skipped": 0, "labels": 1}
 
-    def test_bad_field_map_is_usage_error(self, tmp_path):
+    @pytest.mark.parametrize("field_map, named", [
+        pytest.param("not json", "--field-map", id="not-json"),
+        pytest.param('{"tokens": "0", "slots": 1}', "'tokens'", id="string-index"),
+        pytest.param('{"tokens": 0.5, "slots": 1}', "'tokens'", id="float-index"),
+        pytest.param('{"tokens": -2, "slots": 1}', "'tokens'", id="negative-index"),
+        pytest.param('{"tokens": 0, "slots": true}', "'slots'", id="bool-index"),
+        pytest.param('{"tokens": 0}', "'slots'", id="missing-key"),
+        pytest.param('{"tokens": 0, "slots": 1, "delimiter": ""}', "'delimiter'",
+                     id="empty-delimiter"),
+        pytest.param('{"tokens": 0, "slots": 1, "delimiter": 9}', "'delimiter'",
+                     id="non-string-delimiter"),
+    ])
+    def test_bad_field_map_is_usage_error(self, tmp_path, capsys, field_map, named):
         raw = tmp_path / "raw.tsv"
-        raw.write_text("x\n", encoding="utf-8")
+        raw.write_text("x\ty\n", encoding="utf-8")
         assert run(["import-mtop", "--input", str(raw),
-                    "--field-map", "not json", "-o", str(tmp_path / "o.jsonl")]) == 1
+                    "--field-map", field_map, "-o", str(tmp_path / "o.jsonl")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert named in err and "Traceback" not in err
 
 
 class TestExitCodes:

@@ -23,6 +23,7 @@ from hashmixer.hashing import (
     all_hashes,
     char_trigrams,
     fnv1a64,
+    gram_hashes,
     minhash_unit,
     minhash_units,
     splitmix64,
@@ -187,9 +188,16 @@ class TestMinhashUnit:
             assert int(fp[i]) == min(grams)
 
     def test_continuation_skips_trigrams(self, family64):
-        fp = minhash_unit(family64, "##ing", is_continuation=True)
+        fp = minhash_unit(family64, "##ing")
         assert np.array_equal(fp, all_hashes(family64, "##ing"))
-        assert not np.array_equal(fp, minhash_unit(family64, "##ing", is_continuation=False))
+        trigram_min = np.minimum.reduce([all_hashes(family64, g) for g in char_trigrams("##ing")])
+        assert not np.array_equal(fp, trigram_min)
+
+    def test_gram_hashes_are_trigram_rows_or_one_whole_row(self, family64):
+        trigrams = np.stack([all_hashes(family64, g) for g in ("Bri", "rin", "ing")])
+        assert np.array_equal(gram_hashes(family64, "Bring"), trigrams)
+        whole = all_hashes(family64, "##Bring")[None]
+        assert np.array_equal(gram_hashes(family64, "##Bring"), whole)
 
     def test_single_trigram_unit(self, family64):
         assert np.array_equal(minhash_unit(family64, "ing"), all_hashes(family64, "ing"))
@@ -237,7 +245,7 @@ class TestMinhashUnits:
         table = minhash_units(family, units)
         assert table.shape == (len(units), n_hashes) and table.dtype == np.uint64
         for row, unit in enumerate(units):
-            scalar = minhash_unit(family, unit, is_continuation=unit.startswith("##"))
+            scalar = minhash_unit(family, unit)
             assert np.array_equal(table[row], scalar), unit
             assert [int(v) for v in table[row]] == ref_minhash(unit, n_hashes), unit
 
@@ -264,7 +272,7 @@ class TestMinhashUnits:
         units = [f"w{i}{'z' * (i % 7)}" for i in range(200)] + [f"##{i}" for i in range(50)]
         table = minhash_units(family64, units)
         for row, unit in enumerate(units):
-            assert np.array_equal(table[row], minhash_unit(family64, unit, unit.startswith("##")))
+            assert np.array_equal(table[row], minhash_unit(family64, unit))
 
     def test_low_halves_for_uint32(self, family64):
         wide = minhash_units(family64, EDGE_UNITS)
@@ -305,4 +313,4 @@ class TestMinhashUnits:
         family = HashFamily(8)
         table = minhash_units(family, units)
         for row, unit in enumerate(units):
-            assert np.array_equal(table[row], minhash_unit(family, unit, unit.startswith("##")))
+            assert np.array_equal(table[row], minhash_unit(family, unit))

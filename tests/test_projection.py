@@ -19,7 +19,7 @@ from hashmixer.projection import (
     token_fingerprint,
     tsp_feature,
 )
-from hashmixer.vocab import SubwordUnit, Vocabulary, tokenize_word
+from hashmixer.vocab import Vocabulary, tokenize_word
 
 words = st.text(alphabet="abcdefgh", min_size=1, max_size=12)
 
@@ -88,14 +88,14 @@ class TestCache:
 class TestTokenFingerprint:
     def test_elementwise_min_of_units(self, tiny_vocab, family64):
         cache = build_cache(tiny_vocab, family64)
-        units = tokenize_word("Bringing", tiny_vocab)
-        fp = token_fingerprint(units, cache, tiny_vocab)
+        rows = tokenize_word("Bringing", tiny_vocab)
+        fp = token_fingerprint(rows, cache)
         direct = np.minimum(minhash_unit(family64, "Bring"), all_hashes(family64, "##ing"))
         assert np.array_equal(fp, direct)
 
     def test_single_unit_passthrough(self, tiny_vocab, family64):
         cache = build_cache(tiny_vocab, family64)
-        fp = token_fingerprint([SubwordUnit("the", False)], cache, tiny_vocab)
+        fp = token_fingerprint([tiny_vocab.index["the"]], cache)
         assert np.array_equal(fp, minhash_unit(family64, "the"))
 
     def test_cache_path_equals_direct_path(self, family64):
@@ -105,29 +105,21 @@ class TestTokenFingerprint:
         rng = np.random.default_rng(5)
         for _ in range(50):
             picks = rng.choice(len(units), size=rng.integers(1, 4), replace=False)
-            subwords = [SubwordUnit(units[i], units[i].startswith("##")) for i in picks]
-            via_cache = token_fingerprint(subwords, cache, vocab)
-            direct = np.minimum.reduce(
-                [minhash_unit(family64, u.text, u.is_continuation) for u in subwords]
-            )
+            via_cache = token_fingerprint(picks.tolist(), cache)
+            direct = np.minimum.reduce([minhash_unit(family64, units[i]) for i in picks])
             assert np.array_equal(via_cache, direct)
 
     def test_permutation_invariance(self, tiny_vocab, family64):
         cache = build_cache(tiny_vocab, family64)
-        units = tokenize_word("Bringing", tiny_vocab)
-        fwd = token_fingerprint(units, cache, tiny_vocab)
-        rev = token_fingerprint(units[::-1], cache, tiny_vocab)
+        rows = tokenize_word("Bringing", tiny_vocab)
+        fwd = token_fingerprint(rows, cache)
+        rev = token_fingerprint(rows[::-1], cache)
         assert np.array_equal(fwd, rev)
-
-    def test_unknown_unit_is_internal_error(self, tiny_vocab, family64):
-        cache = build_cache(tiny_vocab, family64)
-        with pytest.raises(LookupError):
-            token_fingerprint([SubwordUnit("ghost", False)], cache, tiny_vocab)
 
     def test_empty_units_rejected(self, tiny_vocab, family64):
         cache = build_cache(tiny_vocab, family64)
         with pytest.raises(ValueError):
-            token_fingerprint([], cache, tiny_vocab)
+            token_fingerprint([], cache)
 
 
 class TestCountingFeature:
@@ -150,31 +142,31 @@ class TestCountingFeature:
 
 class TestBinaryFeature:
     def test_matches_two_loop_oracle(self, family64):
-        units = [SubwordUnit("Bring", False), SubwordUnit("##ing", True)]
+        units = ["Bring", "##ing"]
         got = binary_feature(units, family64, 64)
         expected = np.zeros(64)
         for u in units:
             for i in range(family64.size_n):
-                expected[string_hash(family64, i, u.text) % 64] = 1.0
+                expected[string_hash(family64, i, u) % 64] = 1.0
         assert np.array_equal(got, expected)
 
     def test_set_semantics_idempotent(self, family64):
-        one = binary_feature([SubwordUnit("the", False)], family64, 32)
-        twice = binary_feature([SubwordUnit("the", False)] * 2, family64, 32)
+        one = binary_feature(["the"], family64, 32)
+        twice = binary_feature(["the"] * 2, family64, 32)
         assert np.array_equal(one, twice)
         assert set(np.unique(one)) <= {0.0, 1.0}
 
     def test_disjoint_positions_popcount(self):
         family = HashFamily(2)
         # with a huge m, collisions are implausible: popcount == n per unit
-        feat = binary_feature([SubwordUnit("qqq", False)], family, 1 << 16)
+        feat = binary_feature(["qqq"], family, 1 << 16)
         assert feat.sum() == 2
 
 
 class TestTspFeature:
     def test_pair_table(self, family64):
-        bits = binary_feature([SubwordUnit("Bring", False)], family64, 64)
-        got = tsp_feature([SubwordUnit("Bring", False)], family64, 64)
+        bits = binary_feature(["Bring"], family64, 64)
+        got = tsp_feature(["Bring"], family64, 64)
         for j in range(32):
             b0, b1 = bits[2 * j], bits[2 * j + 1]
             expected = {(0, 0): 0, (0, 1): 1, (1, 0): -1, (1, 1): 0}[(b0, b1)]
@@ -182,12 +174,12 @@ class TestTspFeature:
         assert np.all(got[32:] == 0.0)
 
     def test_values_are_ternary(self, family64):
-        got = tsp_feature([SubwordUnit("hello", False)], family64, 128)
+        got = tsp_feature(["hello"], family64, 128)
         assert set(np.unique(got)) <= {-1.0, 0.0, 1.0}
 
     def test_odd_size_rejected(self, family64):
         with pytest.raises(ValueError):
-            tsp_feature([SubwordUnit("x", False)], family64, 7)
+            tsp_feature(["x"], family64, 7)
 
 
 class TestSimhashFeature:
@@ -195,17 +187,17 @@ class TestSimhashFeature:
         family = HashFamily(1)
         # one hash function, one trigram: the histogram holds a single vote
         value = string_hash(family, 0, "abc")
-        feat = simhash_feature([SubwordUnit("abc", False)], family, 16)
+        feat = simhash_feature(["abc"], family, 16)
         expected = [(value >> p) & 1 for p in range(16)]
         assert np.array_equal(feat, np.array(expected, dtype=np.float64))
 
     def test_matches_bit_count_oracle(self, family64):
-        units = [SubwordUnit("Bring", False), SubwordUnit("##ing", True)]
+        units = ["Bring", "##ing"]
         l = 48
         got = simhash_feature(units, family64, l)
         hist = np.zeros(l)
         for u in units:
-            grams = [u.text] if u.is_continuation else char_trigrams(u.text)
+            grams = [u] if u.startswith("##") else char_trigrams(u)
             for gram in grams:
                 for i in range(family64.size_n):
                     v = string_hash(family64, i, gram)
@@ -221,13 +213,42 @@ class TestSimhashFeature:
             unit = f"t{k}q"
             values = all_hashes(family, unit)
             if (int(values[0]) ^ int(values[1])) & 1:
-                feat = simhash_feature([SubwordUnit(unit, False)], family, 1)
+                feat = simhash_feature([unit], family, 1)
                 assert feat[0] == 1.0
                 return
         pytest.fail("no tie-producing unit found")
 
     def test_length_is_bit_count(self, family64):
-        assert simhash_feature([SubwordUnit("abc", False)], family64, 24).shape == (24,)
+        assert simhash_feature(["abc"], family64, 24).shape == (24,)
+
+
+def _votes(values, l):
+    """Per-bit simhash tally of uint64 hash values: +1 where a bit is set, -1 where clear."""
+    bits = (values[..., None] >> np.arange(l, dtype=np.uint64)) & np.uint64(1)
+    return (2.0 * bits - 1.0).reshape(-1, l).sum(axis=0)
+
+
+class TestContinuationToken:
+    """A dataset token that is itself a ``##`` unit: the unit is hashed whole, as in any word."""
+
+    def test_minhash_feature_is_the_whole_unit_fingerprint(self, tiny_vocab, family64):
+        cache = build_cache(tiny_vocab, family64)
+        cfg = ProjectionConfig(kind="minhash", feature_size=64)
+        got = token_feature("##ing", tiny_vocab, cfg, cache=cache)
+        assert np.array_equal(got, counting_feature(minhash_unit(family64, "##ing"), 64))
+
+    def test_simhash_feature_hashes_the_unit_whole(self, tiny_vocab, family64):
+        l = 64
+        cfg = ProjectionConfig(kind="simhash", simhash_bits=l)
+        whole = _votes(all_hashes(family64, "##ing"), l)
+        trigrams = _votes(np.stack([all_hashes(family64, g) for g in char_trigrams("##ing")]), l)
+        assert not np.array_equal(whole >= 0, trigrams >= 0)
+        got = token_feature("##ing", tiny_vocab, cfg, family=family64)
+        assert np.array_equal(got, (whole >= 0).astype(np.float64))
+        # "Bringing" hashes its ``##ing`` the same way, next to the trigrams of "Bring"
+        bring = _votes(np.stack([all_hashes(family64, g) for g in char_trigrams("Bring")]), l)
+        got = token_feature("Bringing", tiny_vocab, cfg, family=family64)
+        assert np.array_equal(got, (bring + whole >= 0).astype(np.float64))
 
 
 def _featurize(tokens, vocab, cache, cfg):

@@ -69,20 +69,24 @@ class TestPreTokenize:
         assert all(tok for tok in pre_tokenize(text))
 
 
+def texts(rows, vocab):
+    return [vocab.units[r] for r in rows]
+
+
 class TestTokenizeWord:
     def test_documented_split(self, tiny_vocab):
-        units = tokenize_word("Bringing", tiny_vocab)
-        assert [u.text for u in units] == ["Bring", "##ing"]
-        assert [u.is_continuation for u in units] == [False, True]
+        rows = tokenize_word("Bringing", tiny_vocab)
+        assert texts(rows, tiny_vocab) == ["Bring", "##ing"]
+        assert [u.startswith("##") for u in texts(rows, tiny_vocab)] == [False, True]
 
     def test_whole_word_match(self, tiny_vocab):
-        units = tokenize_word("the", tiny_vocab)
-        assert [u.text for u in units] == ["the"]
+        rows = tokenize_word("the", tiny_vocab)
+        assert texts(rows, tiny_vocab) == ["the"]
 
     def test_unknown_character_yields_unk(self, tiny_vocab):
-        units = tokenize_word("zzz", tiny_vocab)
-        assert [u.text for u in units] == ["[UNK]"]
-        assert units[0].is_continuation is False
+        rows = tokenize_word("zzz", tiny_vocab)
+        assert texts(rows, tiny_vocab) == ["[UNK]"]
+        assert not tiny_vocab.units[rows[0]].startswith("##")
 
     def test_empty_word_rejected(self, tiny_vocab):
         with pytest.raises(ValueError):
@@ -91,25 +95,29 @@ class TestTokenizeWord:
     def test_greedy_prefix_is_longest(self, tiny_vocab):
         # brute force: the first emitted unit must be the longest vocab prefix
         word = "att"
-        units = tokenize_word(word, tiny_vocab)
-        assert [u.text for u in units] == ["at", "##t"]
+        rows = tokenize_word(word, tiny_vocab)
+        assert texts(rows, tiny_vocab) == ["at", "##t"]
         longest = max(
             (word[:k] for k in range(1, len(word) + 1) if word[:k] in tiny_vocab.index),
             key=len,
         )
-        assert units[0].text == longest
+        assert tiny_vocab.units[rows[0]] == longest
 
     def test_never_returns_empty_list(self, tiny_vocab):
         for word in ("Bringing", "zzz", "a", "bat"):
             assert tokenize_word(word, tiny_vocab)
+
+    def test_word_starting_with_a_continuation_unit(self, tiny_vocab):
+        # a dataset token may itself be a ``##`` unit: its first piece is that unit's row
+        assert texts(tokenize_word("##ing", tiny_vocab), tiny_vocab) == ["##ing"]
 
     @given(st.text(alphabet="abct", min_size=1, max_size=12))
     @settings(max_examples=150)
     def test_round_trip_coverage(self, word):
         units = ["[UNK]", "a", "b", "c", "t", "##a", "##b", "##c", "##t", "at", "##at"]
         vocab = Vocabulary.from_units(units)
-        pieces = tokenize_word(word, vocab)
+        pieces = texts(tokenize_word(word, vocab), vocab)
         assert pieces
-        if [u.text for u in pieces] != ["[UNK]"]:
-            rebuilt = "".join(u.text.removeprefix("##") for u in pieces)
+        if pieces != ["[UNK]"]:
+            rebuilt = "".join(u.removeprefix("##") for u in pieces)
             assert rebuilt == word
