@@ -93,9 +93,14 @@ def load_jsonl(path: str) -> list[Example]:
             raise DataError(
                 f"{path}:{lineno}: 'tokens' must be a non-empty list of non-empty strings"
             )
+        slots, label = obj.get("slots"), obj.get("label")
+        if slots is not None and not (isinstance(slots, list)
+                                      and all(isinstance(s, str) for s in slots)):
+            raise DataError(f"{path}:{lineno}: 'slots' must be a list of strings")
+        if label is not None and not isinstance(label, str):
+            raise DataError(f"{path}:{lineno}: 'label' must be a string")
         try:
-            examples.append(Example(tokens=tokens, slot_labels=obj.get("slots"),
-                                    class_label=obj.get("label")))
+            examples.append(Example(tokens=tokens, slot_labels=slots, class_label=label))
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from exc
     return examples
@@ -174,7 +179,9 @@ def _import_rows(raw_path: str, field_map: dict, out_path: str, columns: tuple[s
     if not isinstance(delimiter, str) or not delimiter:
         raise ValueError(
             f"field map key 'delimiter' must be a non-empty string, not {delimiter!r}")
-    skip_header = bool(field_map.get("skip_header", False))
+    skip_header = field_map.get("skip_header", False)
+    if not isinstance(skip_header, bool):
+        raise ValueError(f"field map key 'skip_header' must be true or false, not {skip_header!r}")
     examples: list[Example] = []
     skipped: list[int] = []
     for rowno, line in enumerate(read_text(raw_path, "raw file").split("\n"), start=1):

@@ -34,15 +34,14 @@ clamped rational erf, ``z * P(z^2) / Q(z^2)`` with ``z`` clamped to
 :data:`ERF_BLOCK` elements so that its dozens of passes stay in cache. Its
 ``Phi`` is within 2.4e-7 of the float64 value on a dense grid over
 [-10, 10], and is exactly 0 or 1 beyond |x| = 4 sqrt 2. Every other dtype
-uses scipy's erf, at the full precision the float64 gradient checks need.
-``gelu_grad`` is blocked the same way in float32.
+applies ``math.erf`` per element: slow, but as precise as the float64
+gradient checks need. ``gelu_grad`` is blocked the same way in float32.
 
 Parameters and their gradients are flat ``{name: ndarray}`` dicts so the
 optimizer, serializer and quantizer can treat them uniformly. The math
 follows the dtype of the parameters and inputs and takes a leading batch
-axis: float32 in the trainer and for a float model file loaded for ``eval``
-and ``predict``; float64 for gradient verification and for an int8 model
-file, whose dequantized weights need float64 to be exact.
+axis: float32 in training and in every inference (``predict_batches``
+casts any model's weights), float64 in the gradient checks.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf
 
 from .hashing import splitmix64_array
 from .projection import TokenWindows
@@ -64,6 +62,7 @@ HEAD_KINDS = ("token", "pooled")
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_ERF64 = np.frompyfunc(math.erf, 1, 1)
 
 # Elements per block of the float32 GELU: the operands of one block (about
 # 1.3 MB) stay in a 2 MB per-core L2 cache across the polynomial's passes.
@@ -175,11 +174,11 @@ def normal_cdf(x: np.ndarray) -> np.ndarray:
     """Standard normal CDF, ``0.5 * (1 + erf(x / sqrt 2))``, elementwise.
 
     float32 input takes the blocked rational erf (within 2.4e-7 of the
-    float64 value); any other dtype takes scipy's erf.
+    float64 value); any other dtype takes ``math.erf`` per element.
     """
     x = np.asarray(x)
     if x.dtype != np.float32:
-        return 0.5 * (1.0 + erf(x * _INV_SQRT2))
+        return np.asarray(0.5 * (1.0 + _ERF64(x * _INV_SQRT2)), dtype=np.float64)
     out = np.empty(x.shape, dtype=np.float32)
     scratch = np.empty((3, min(x.size, ERF_BLOCK)), dtype=np.float32)
     for p, xb in _float32_blocks(out, x):

@@ -91,12 +91,12 @@ def load_model(path: str) -> tuple[ModelParams, ModelConfig, bool]:
     """Read a model container; quantized tensors come back dequantized.
 
     Returns ``(params, config, was_quantized)``, each parameter a writeable,
-    aligned array of its own, ready for the forward pass, whose math follows
-    their dtype. A container of float32 tensors loads as float32, exactly as
-    stored. A container with any int8 tensor loads as float64: ``values *
-    scale`` (fake quantization) can need 31 significant bits, so float64
-    holds it exactly. A float32 tensor holding NaN or infinity is a
-    :class:`ModelFileError`.
+    aligned array of its own. A container of float32 tensors loads as
+    float32, exactly as stored. A container with any int8 tensor loads as
+    float64, where ``values * scale`` (up to 31 significant bits) is exact
+    and so compares exactly with the float weights it was quantized from;
+    inference casts it to float32. A float32 tensor holding NaN or
+    infinity is a :class:`ModelFileError`.
     """
     reader = ContainerReader(path, MODEL_MAGIC, "model container")
     (version, input_rows, seq_len, bottleneck, hidden, depth,

@@ -7,8 +7,8 @@ zero so every implementation lands on identical integers. A float32 input
 as its float64 copy does.
 
 Evaluation is "fake quant": the model loader dequantizes int8 tensors to
-float64, where ``values * scale`` is exact, and the forward pass runs in
-float64.
+float64, where ``values * scale`` is exact, and inference casts them to
+float32 like any other model's weights.
 """
 
 from __future__ import annotations

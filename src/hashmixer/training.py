@@ -196,7 +196,8 @@ def predict_batches(
     cfg: ModelConfig,
     batch_size: int = 256,
 ) -> list[np.ndarray]:
-    """Arg-max predictions per example (per position for the token head)."""
+    """Arg-max predictions per example (per position for the token head), in float32."""
+    params = {k: p.astype(np.float32, copy=False) for k, p in params.items()}
     out: list[np.ndarray] = []
     for lo in range(0, len(data.examples), batch_size):
         sel = slice(lo, min(lo + batch_size, len(data.examples)))

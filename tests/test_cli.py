@@ -4,11 +4,14 @@ import hashlib
 import json
 import os
 import struct
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import hashmixer
 from hashmixer.cli import run
 from hashmixer.config import build_run_config
 from hashmixer.data import LabelInventory, load_jsonl
@@ -31,7 +34,7 @@ from hashmixer.projection import (
     token_feature,
 )
 from hashmixer.quantize import quantize_params
-from hashmixer.training import encode_dataset, predict_batches
+from hashmixer.training import encode_dataset, evaluate, predict_batches
 from hashmixer.vocab import load_vocab
 
 from conftest import MODEL_HEADER, TensorList, patch_model_header, synth_dataset
@@ -102,6 +105,42 @@ class TestParams:
         assert abs(count - 200_000) / 200_000 < 0.10
 
 
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(hashmixer.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, hashmixer.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
+def _val_split(trained, workspace):
+    """The trained run's label inventory, featurizer and encoded validation split."""
+    with open(os.path.join(trained, "labels.json"), encoding="utf-8") as fh:
+        labels = json.load(fh)
+    inventory = LabelInventory(labels=tuple(labels), index={l: i for i, l in enumerate(labels)})
+    featurizer = SequenceFeaturizer(load_vocab(workspace["paths"]["vocab"]),
+                                    build_run_config(path=workspace["config"]).projection)
+    data = encode_dataset(load_jsonl(workspace["paths"]["val"]), featurizer, inventory,
+                          "token", strict=False)
+    return inventory, featurizer, data
+
+
+def _assert_float64_argmax_except_ties(preds, featurizer, data, params64, model_cfg):
+    """``preds`` are the float64 forward's argmax wherever its top-two margin is
+    beyond float32 rounding, and that holds at over 99% of the positions."""
+    windows = TokenWindows(featurizer.table, featurizer.window_ids(data.ids, data.valid))
+    logits64, _ = forward_batch(windows, data.valid, params64, model_cfg)
+    preds64 = [logits64[i, :, :n].argmax(axis=0) for i, n in enumerate(data.valid)]
+    decided = 0
+    for i, (pred, p64) in enumerate(zip(preds, preds64)):
+        top2 = np.sort(logits64[i, :, : data.valid[i]], axis=0)[-2:]
+        clear = top2[1] - top2[0] > 1e-5 * np.maximum(1.0, np.abs(top2[1]))
+        assert np.array_equal(pred[clear], p64[clear]), i
+        decided += int(clear.sum())
+    assert decided > 0.99 * int(data.valid.sum())
+
+
 class TestTrainEvalPredictQuantize:
     def test_artifacts_exist(self, trained):
         for name in ("model.bin", "labels.json", "config.json", "train_log.jsonl"):
@@ -130,25 +169,28 @@ class TestTrainEvalPredictQuantize:
         params, model_cfg, _ = load_model(os.path.join(trained, "model.bin"))
         assert {p.dtype for p in params.values()} == {np.dtype(np.float32)}
         params64 = {k: p.astype(np.float64) for k, p in params.items()}
-        with open(os.path.join(trained, "labels.json"), encoding="utf-8") as fh:
-            labels = json.load(fh)
-        inventory = LabelInventory(labels=tuple(labels),
-                                   index={l: i for i, l in enumerate(labels)})
-        featurizer = SequenceFeaturizer(load_vocab(workspace["paths"]["vocab"]),
-                                        build_run_config(path=workspace["config"]).projection)
-        data = encode_dataset(load_jsonl(workspace["paths"]["val"]), featurizer, inventory,
-                              "token", strict=False)
+        _, featurizer, data = _val_split(trained, workspace)
         preds32 = predict_batches(data, featurizer, params, model_cfg)
-        preds64 = predict_batches(data, featurizer, params64, model_cfg)
-        windows = TokenWindows(featurizer.table, featurizer.window_ids(data.ids, data.valid))
-        logits64, _ = forward_batch(windows, data.valid, params64, model_cfg)
-        decided = 0
-        for i, (p32, p64) in enumerate(zip(preds32, preds64)):
-            top2 = np.sort(logits64[i, :, : data.valid[i]], axis=0)[-2:]
-            clear = top2[1] - top2[0] > 1e-5 * np.maximum(1.0, np.abs(top2[1]))
-            assert np.array_equal(p32[clear], p64[clear]), i
-            decided += int(clear.sum())
-        assert decided > 0.99 * int(data.valid.sum())
+        _assert_float64_argmax_except_ties(preds32, featurizer, data, params64, model_cfg)
+
+    def test_int8_model_runs_float32(self, trained, workspace, tmp_path, capsys):
+        qmodel = str(tmp_path / "model.q.bin")
+        assert run(["quantize", "--model", os.path.join(trained, "model.bin"),
+                    "-o", qmodel, "--quiet"]) == 0
+        params64, model_cfg, was_quantized = load_model(qmodel)
+        assert was_quantized and {p.dtype for p in params64.values()} == {np.dtype(np.float64)}
+        params32 = {k: p.astype(np.float32) for k, p in params64.items()}
+        inventory, featurizer, data = _val_split(trained, workspace)
+        preds = predict_batches(data, featurizer, params64, model_cfg)
+        preds32 = predict_batches(data, featurizer, params32, model_cfg)
+        assert all(np.array_equal(p, p32) for p, p32 in zip(preds, preds32))
+        _assert_float64_argmax_except_ties(preds, featurizer, data, params64, model_cfg)
+        assert run(["eval", "--model", qmodel, "--data", workspace["paths"]["val"],
+                    "--config", workspace["config"],
+                    "--labels", os.path.join(trained, "labels.json"), "--quiet"]) == 0
+        report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert report["value"] == evaluate(data, featurizer, params32, model_cfg,
+                                           inventory)["value"]
 
     def test_quantize_output_unchanged(self, trained, tmp_path):
         model = os.path.join(trained, "model.bin")
@@ -302,6 +344,10 @@ class TestImporters:
                      id="empty-delimiter"),
         pytest.param('{"tokens": 0, "slots": 1, "delimiter": 9}', "'delimiter'",
                      id="non-string-delimiter"),
+        pytest.param('{"tokens": 0, "slots": 1, "skip_header": "false"}', "'skip_header'",
+                     id="string-skip-header"),
+        pytest.param('{"tokens": 0, "slots": 1, "skip_header": 1}', "'skip_header'",
+                     id="int-skip-header"),
     ])
     def test_bad_field_map_is_usage_error(self, tmp_path, capsys, field_map, named):
         raw = tmp_path / "raw.tsv"

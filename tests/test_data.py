@@ -53,6 +53,21 @@ class TestJsonl:
         with pytest.raises(DataError, match=":2:"):
             load_jsonl(str(path))
 
+    @pytest.mark.parametrize("fields, named", [
+        pytest.param('"slots": 5', "'slots'", id="slots-number"),
+        pytest.param('"slots": "AB"', "'slots'", id="slots-string"),
+        pytest.param('"slots": [1]', "'slots'", id="slots-int-label"),
+        pytest.param('"slots": [null]', "'slots'", id="slots-null-label"),
+        pytest.param('"label": ["x"]', "'label'", id="label-list"),
+        pytest.param('"label": 3', "'label'", id="label-number"),
+    ])
+    def test_bad_label_field_reports_line_number(self, tmp_path, fields, named):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"tokens":["a"],"slots":["O"]}\n{"tokens":["a"],%s}\n' % fields,
+                        encoding="utf-8")
+        with pytest.raises(DataError, match=":2: " + named):
+            load_jsonl(str(path))
+
     def test_empty_token_list_rejected(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text('{"tokens":["a"],"slots":["O"]}\n{"tokens":[],"slots":[]}\n',
