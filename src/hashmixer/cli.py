@@ -30,7 +30,7 @@ from .config import PRESETS, RunConfig, build_run_config, save_run_config
 from .data import Example, LabelInventory, import_mtop, import_multiatis, load_jsonl
 from .errors import DataError
 from .files import read_json
-from .hashing import HashFamily
+from .hashing import HashFamily, minhash_units
 from .mixer import count_parameters, init_params
 from .model_io import load_model, save_features, save_model, save_quantized_model
 from .projection import FeatureMatrix, SequenceFeaturizer, build_cache, load_cache, save_cache
@@ -40,6 +40,10 @@ from .vocab import load_vocab, pre_tokenize
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        # no prefix matching: an option is either spelled out or refused
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message: str):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
@@ -47,21 +51,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(args, payload: dict) -> None:
-    if not getattr(args, "quiet", False):
+    if not args.quiet:
         print(json.dumps(payload))
-
-
-def _config_from_args(args) -> RunConfig:
-    overrides: dict = {"train": {}, "paths": {}}
-    if getattr(args, "seed", None) is not None:
-        overrides["train"]["seed"] = args.seed
-    if getattr(args, "out", None) is not None:
-        overrides["paths"]["out_dir"] = args.out
-    return build_run_config(
-        path=getattr(args, "config", None),
-        preset=getattr(args, "preset", None),
-        overrides=overrides,
-    )
 
 
 def _load_vocab_and_cache(cfg: RunConfig):
@@ -78,6 +69,13 @@ def _load_vocab_and_cache(cfg: RunConfig):
             f"{path} was built with {cache.n_hashes} hashes, "
             f"config expects {cfg.projection.n_hashes}"
         )
+    # 64 rows, first and last included, rebuilt from this vocabulary; rows repeat under
+    # 64 units, as np.unique would import numpy.ma (10-35 ms of a cold predict)
+    rows = np.linspace(0, len(vocab) - 1, 64).round().astype(np.intp)
+    rebuilt = minhash_units(HashFamily(cache.n_hashes), [vocab.units[i] for i in rows],
+                            dtype=cache.table.dtype)
+    if not np.array_equal(rebuilt, cache.table[rows]):
+        raise DataError(f"{path} was not built from the vocabulary {cfg.vocab_path}")
     return vocab, cache
 
 
@@ -96,7 +94,7 @@ def _cmd_build_cache(args) -> int:
 
 
 def _cmd_project(args) -> int:
-    cfg = _config_from_args(args)
+    cfg = build_run_config(args.config, args.preset)
     featurizer = _featurizer(cfg)
     examples = load_jsonl(args.input)
     ids, valid = featurizer.encode([ex.tokens for ex in examples])
@@ -118,7 +116,9 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    cfg = _config_from_args(args)
+    # a flag left out is None, and None leaves the config's value in place
+    cfg = build_run_config(args.config, args.preset,
+                           {"train": {"seed": args.seed}, "paths": {"out_dir": args.out}})
     if cfg.train_data is None or cfg.val_data is None:
         raise ValueError("config paths.train_data and paths.val_data are required")
     out_dir = cfg.out_dir
@@ -167,6 +167,13 @@ def _load_for_inference(args, cfg: RunConfig):
     Returns ``(params, model_cfg, was_quantized, inventory, featurizer)``.
     """
     params, model_cfg, was_quantized = load_model(args.model)
+    proj = cfg.projection
+    if (proj.input_rows, proj.max_seq_len) != (model_cfg.input_rows, model_cfg.seq_len):
+        source = args.config or (f"preset {args.preset}" if args.preset else "the default config")
+        raise DataError(
+            f"{args.model} takes {model_cfg.input_rows} input rows x {model_cfg.seq_len} "
+            f"positions, {source} projects {proj.input_rows} x {proj.max_seq_len}"
+        )
     labels_path = args.labels
     if labels_path is None:
         labels_path = os.path.join(os.path.dirname(os.path.abspath(args.model)), "labels.json")
@@ -182,7 +189,7 @@ def _load_for_inference(args, cfg: RunConfig):
 
 
 def _cmd_eval(args) -> int:
-    cfg = _config_from_args(args)
+    cfg = build_run_config(args.config, args.preset)
     params, model_cfg, was_quantized, inventory, featurizer = _load_for_inference(args, cfg)
     examples = load_jsonl(args.data)
     data = encode_dataset(examples, featurizer, inventory, model_cfg.head, strict=False)
@@ -209,7 +216,7 @@ def _cmd_quantize(args) -> int:
 
 def _cmd_predict(args) -> int:
     params, model_cfg, _, inventory, featurizer = _load_for_inference(
-        args, _config_from_args(args))
+        args, build_run_config(args.config, args.preset))
     labels = inventory.labels
     tokens = pre_tokenize(args.text)
     if not tokens:
@@ -243,8 +250,9 @@ def _cmd_import(args) -> int:
 
 
 def _cmd_params(args) -> int:
-    cfg = _config_from_args(args)
-    model_cfg = cfg.model_config(num_labels=args.num_labels)
+    cfg = build_run_config(args.config, args.preset, {"model": {"num_labels": args.num_labels}})
+    # the 78 MTOP labels of the paper's size grid, when neither flag nor config sets a count
+    model_cfg = cfg.model_config(num_labels=cfg.num_labels or 78)
     count = count_parameters(model_cfg)
     if args.check_init:
         actual = sum(p.size for p in init_params(model_cfg, seed=0).values())
@@ -259,17 +267,11 @@ def build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=None, help="override the training seed")
-        p.add_argument("--quiet", action="store_true", help="suppress JSON progress lines")
-        p.add_argument("--out", default=None, help="output directory")
-
     p = sub.add_parser("build-cache", help="precompute vocabulary fingerprints")
     p.add_argument("--vocab", required=True)
     p.add_argument("--hashes", type=int, default=64)
     p.add_argument("--width", type=int, choices=(32, 64), default=64)
     p.add_argument("-o", "--output", required=True)
-    common(p)
     p.set_defaults(func=_cmd_build_cache)
 
     p = sub.add_parser("project", help="dump feature matrices for a dataset")
@@ -277,13 +279,13 @@ def build_parser() -> _Parser:
     p.add_argument("--preset", choices=sorted(PRESETS), default=None)
     p.add_argument("--input", required=True)
     p.add_argument("-o", "--output", required=True)
-    common(p)
     p.set_defaults(func=_cmd_project)
 
     p = sub.add_parser("train", help="train a model from a config")
     p.add_argument("--config", default=None)
     p.add_argument("--preset", choices=sorted(PRESETS), default=None)
-    common(p)
+    p.add_argument("--seed", type=int, default=None, help="override train.seed")
+    p.add_argument("--out", default=None, help="override paths.out_dir")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a model file on a dataset")
@@ -292,13 +294,11 @@ def build_parser() -> _Parser:
     p.add_argument("--config", default=None)
     p.add_argument("--preset", choices=sorted(PRESETS), default=None)
     p.add_argument("--labels", default=None, help="label inventory JSON (default: next to model)")
-    common(p)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("quantize", help="convert a float model to 8-bit")
     p.add_argument("--model", required=True)
     p.add_argument("-o", "--output", required=True)
-    common(p)
     p.set_defaults(func=_cmd_quantize)
 
     p = sub.add_parser("predict", help="tag or classify one text")
@@ -307,7 +307,6 @@ def build_parser() -> _Parser:
     p.add_argument("--config", default=None)
     p.add_argument("--preset", choices=sorted(PRESETS), default=None)
     p.add_argument("--labels", default=None)
-    common(p)
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("import-mtop", help="normalize a flat slot-tagging TSV to JSONL")
@@ -315,7 +314,6 @@ def build_parser() -> _Parser:
     p.add_argument("--field-map", required=True,
                    help='JSON, e.g. {"tokens": 1, "slots": 2, "skip_header": false}')
     p.add_argument("-o", "--output", required=True)
-    common(p)
     p.set_defaults(func=_cmd_import, importer=import_mtop)
 
     p = sub.add_parser("import-multiatis", help="normalize an utterance/intent TSV to JSONL")
@@ -323,18 +321,19 @@ def build_parser() -> _Parser:
     p.add_argument("--field-map", required=True,
                    help='JSON, e.g. {"text": 1, "intent": 2, "skip_header": true}')
     p.add_argument("-o", "--output", required=True)
-    common(p)
     p.set_defaults(func=_cmd_import, importer=import_multiatis)
 
     p = sub.add_parser("params", help="print the parameter count of a config")
     p.add_argument("--config", default=None)
     p.add_argument("--preset", choices=sorted(PRESETS), default=None)
-    p.add_argument("--num-labels", type=int, default=78)
+    p.add_argument("--num-labels", type=int, default=None,
+                   help="override model.num_labels (78 when neither sets it)")
     p.add_argument("--check-init", action="store_true",
                    help="cross-check against an actual initialization")
-    common(p)
     p.set_defaults(func=_cmd_params)
 
+    for p in sub.choices.values():  # the one flag of every subcommand
+        p.add_argument("--quiet", action="store_true", help="suppress JSON progress lines")
     return parser
 
 

@@ -14,7 +14,7 @@ The document has flat key groups mirroring the config dataclasses::
     }
 
 Named presets cover the five shipped model sizes; a config file overrides a
-preset, and command-line flags override both. ``model.input_rows``, when
+preset, and a command-line flag that is given overrides both. ``model.input_rows``, when
 present, is checked against the projection-derived value rather than stored.
 A document that is not an object, an unknown group or key, or a value of the
 wrong type or out of range is a :class:`DataError` naming the key; ``null``

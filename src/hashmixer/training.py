@@ -53,6 +53,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError("seed must be in 0..2**64-1")
         if self.select_best_by != "accuracy":
             raise ValueError("select_best_by supports only 'accuracy'")
 

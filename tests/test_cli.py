@@ -1,5 +1,6 @@
 """End-to-end command-line tests over a miniature synthetic run."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -15,7 +16,7 @@ import hashmixer
 from hashmixer.cli import run
 from hashmixer.config import build_run_config
 from hashmixer.data import LabelInventory, load_jsonl
-from hashmixer.mixer import forward_batch
+from hashmixer.mixer import count_parameters, forward_batch, init_params
 from hashmixer.model_io import (
     MODEL_MAGIC,
     load_features,
@@ -34,7 +35,7 @@ from hashmixer.projection import (
     token_feature,
 )
 from hashmixer.quantize import quantize_params
-from hashmixer.training import encode_dataset, evaluate, predict_batches
+from hashmixer.training import TrainConfig, encode_dataset, evaluate, predict_batches
 from hashmixer.vocab import load_vocab
 
 from conftest import MODEL_HEADER, TensorList, patch_model_header, synth_dataset
@@ -103,6 +104,24 @@ class TestParams:
         assert run(["params", "--preset", "x-small", "--check-init"]) == 0
         count = int(capsys.readouterr().out.strip())
         assert abs(count - 200_000) / 200_000 < 0.10
+
+    def test_label_count_from_flag_else_config_else_78(self, trained, workspace, capsys):
+        echo = os.path.join(trained, "config.json")
+        model_cfg = build_run_config(path=echo).model_config()
+        assert model_cfg.num_labels == 5
+        expected = {
+            (echo, None): count_parameters(model_cfg),
+            (echo, "78"): count_parameters(dataclasses.replace(model_cfg, num_labels=78)),
+            (workspace["config"], None): count_parameters(
+                dataclasses.replace(model_cfg, num_labels=78)),
+            (workspace["config"], "3"): count_parameters(
+                dataclasses.replace(model_cfg, num_labels=3)),
+        }
+        assert len(set(expected.values())) == 3
+        for (config, labels), count in expected.items():
+            flag = [] if labels is None else ["--num-labels", labels]
+            assert run(["params", "--config", config, *flag]) == 0
+            assert int(capsys.readouterr().out) == count, (config, labels)
 
 
 def test_import_loads_no_scipy():
@@ -201,6 +220,18 @@ class TestTrainEvalPredictQuantize:
         save_quantized_model(ref, quantize_params({k: p.astype(np.float64)
                                                    for k, p in params.items()}), model_cfg)
         assert _sha(out) == _sha(ref)
+
+    def test_seed_and_out_flags_override_the_config(self, trained, workspace, tmp_path):
+        config = json.load(open(workspace["config"], encoding="utf-8"))
+        config["train"]["seed"] = 0
+        path = tmp_path / "seed0.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        out = str(tmp_path / "flagged")
+        assert run(["train", "--config", str(path), "--seed", "7", "--out", out, "--quiet"]) == 0
+        # the flags give the fixture's seed and a new directory: the same model lands there
+        assert _sha(os.path.join(out, "model.bin")) == _sha(os.path.join(trained, "model.bin"))
+        echoed = build_run_config(path=os.path.join(out, "config.json"))
+        assert (echoed.train.seed, echoed.out_dir) == (7, out)
 
     def test_config_echo_reloads_identically(self, trained, workspace):
         echoed = build_run_config(path=os.path.join(trained, "config.json"))
@@ -363,12 +394,101 @@ class TestExitCodes:
     def test_unknown_flag_is_usage_error(self):
         assert run(["params", "--preset", "base", "--bogus"]) == 1
 
+    def test_abbreviated_flag_is_usage_error(self, capsys):
+        assert run(["params", "--pre", "base"]) == 1
+        assert "unrecognized arguments: --pre" in capsys.readouterr().err
+
     def test_unknown_command_is_usage_error(self):
         assert run(["frobnicate"]) == 1
 
     def test_missing_data_file_is_data_error(self, workspace):
         assert run(["eval", "--model", str(workspace["root"] / "nope.bin"),
                     "--data", "also-nope.jsonl", "--config", workspace["config"]]) == 2
+
+    @pytest.mark.parametrize("flag", [["--seed", "1"], ["--out", "d"]], ids=["seed", "out"])
+    @pytest.mark.parametrize("command", ["build-cache", "project", "eval", "quantize", "predict",
+                                         "import-mtop", "import-multiatis", "params"])
+    def test_train_flags_are_usage_errors_elsewhere(self, trained, workspace, tmp_path, capsys,
+                                                    monkeypatch, command, flag):
+        monkeypatch.chdir(tmp_path)  # where a stray relative "d" would land
+        model, config = os.path.join(trained, "model.bin"), workspace["config"]
+        val = workspace["paths"]["val"]
+        raw = tmp_path / "raw.tsv"
+        raw.write_text("1\twake me\tO O\n", encoding="utf-8")
+        output = tmp_path / "output"
+        argv = {
+            "build-cache": ["--vocab", workspace["paths"]["vocab"], "-o", str(output)],
+            "project": ["--config", config, "--input", val, "-o", str(output)],
+            "eval": ["--model", model, "--data", val, "--config", config],
+            "quantize": ["--model", model, "-o", str(output)],
+            "predict": ["--model", model, "--config", config, "--text", "a b"],
+            "import-mtop": ["--input", str(raw), "--field-map", '{"tokens": 1, "slots": 2}',
+                            "-o", str(output)],
+            "import-multiatis": ["--input", str(raw), "--field-map", '{"text": 1, "intent": 2}',
+                                 "-o", str(output)],
+            "params": ["--preset", "base"],
+        }[command]
+        assert run([command, *argv, *flag, "--quiet"]) == 1
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not output.exists() and not (tmp_path / "d").exists()
+        assert run([command, *argv, "--quiet"]) == 0  # the flag alone was at fault
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_uint64_is_rejected(self, workspace, tmp_path, capsys, seed):
+        config = json.load(open(workspace["config"], encoding="utf-8"))
+        config["train"]["seed"] = seed
+        config["paths"]["out_dir"] = str(tmp_path / "run")
+        bad = tmp_path / "seed.json"
+        bad.write_text(json.dumps(config), encoding="utf-8")
+        # in a config file: a bad data file, named with its key
+        self._exits_2_naming(capsys, ["train", "--config", str(bad), "--quiet"], bad,
+                             "train.seed")
+        # as a flag: a usage error
+        assert run(["train", "--config", workspace["config"], "--seed", str(seed),
+                    "--out", str(tmp_path / "run"), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed ") and "Traceback" not in err
+        assert not os.path.exists(tmp_path / "run")
+
+    def test_largest_seed_is_accepted(self, trained):
+        _, model_cfg, _ = load_model(os.path.join(trained, "model.bin"))
+        params = init_params(model_cfg, TrainConfig(seed=2**64 - 1).seed)
+        assert all(np.isfinite(p).all() for p in params.values())
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    @pytest.mark.parametrize("key, value", [("window", 1), ("max_seq_len", 16)])
+    def test_config_not_matching_model_is_data_error(self, trained, workspace, tmp_path, capsys,
+                                                     command, key, value):
+        config = json.load(open(workspace["config"], encoding="utf-8"))
+        config["projection"][key] = value
+        bad = tmp_path / "other-projection.json"
+        bad.write_text(json.dumps(config), encoding="utf-8")
+        model = os.path.join(trained, "model.bin")
+        argv = {"eval": ["eval", "--data", workspace["paths"]["val"]],
+                "predict": ["predict", "--text", "a b"]}[command]
+        self._exits_2_naming(capsys, argv + ["--model", model, "--config", str(bad), "--quiet"],
+                             model, str(bad))
+
+    def test_cache_of_another_vocabulary_is_data_error(self, trained, workspace, tmp_path,
+                                                       capsys):
+        units = open(workspace["paths"]["vocab"], encoding="utf-8").read().splitlines()
+        other = tmp_path / "other.txt"  # same size, every unit but [UNK] renamed
+        other.write_text("\n".join(u if u == "[UNK]" else u + "x" for u in units) + "\n",
+                         encoding="utf-8")
+        config = json.load(open(workspace["config"], encoding="utf-8"))
+        argv = ["eval", "--model", os.path.join(trained, "model.bin"),
+                "--data", workspace["paths"]["val"], "--quiet"]
+        for vocab, width, code in ((str(other), "64", 2), (workspace["paths"]["vocab"], "32", 0)):
+            cache = tmp_path / f"cache{width}.bin"
+            assert run(["build-cache", "--vocab", vocab, "--hashes", "32", "--width", width,
+                        "-o", str(cache), "--quiet"]) == 0
+            config["paths"]["cache"] = str(cache)
+            path = tmp_path / f"cached{width}.json"
+            path.write_text(json.dumps(config), encoding="utf-8")
+            if code == 2:
+                self._exits_2_naming(capsys, argv + ["--config", str(path)], cache)
+            else:  # the cache of the config's own vocabulary loads
+                assert run(argv + ["--config", str(path)]) == 0
 
     def test_help_exits_zero(self):
         assert run(["--help"]) == 0
