@@ -74,7 +74,7 @@ class LabelInventory:
 
 
 def load_jsonl(path: str) -> list[Example]:
-    """Read normalized examples, reporting the line number on any defect."""
+    """Read normalized examples, reporting the line number on any defect; none is one too."""
     examples: list[Example] = []
     # split on "\n" only, as file iteration does: a JSON string may hold U+2028
     for lineno, line in enumerate(read_text(path, "dataset").split("\n"), start=1):
@@ -103,6 +103,8 @@ def load_jsonl(path: str) -> list[Example]:
             examples.append(Example(tokens=tokens, slot_labels=slots, class_label=label))
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from exc
+    if not examples:
+        raise DataError(f"{path}: no examples")
     return examples
 
 

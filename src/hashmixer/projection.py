@@ -41,7 +41,7 @@ from .vocab import Vocabulary, tokenize_word
 PROJECTION_KINDS = ("minhash", "binary", "tsp", "simhash")
 
 CACHE_MAGIC = b"PNLPCACH"
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -86,10 +86,12 @@ class FingerprintCache:
 
     ``width`` 64 stores raw fingerprints; 32 stores the low halves, applied
     identically at build and lookup so cached and direct paths agree.
+    ``vocab_digest`` is the :attr:`Vocabulary.digest` of the vocabulary it was built from.
     """
 
     table: np.ndarray
     n_hashes: int
+    vocab_digest: bytes
     width: int = 64
 
     def __post_init__(self) -> None:
@@ -107,12 +109,12 @@ def build_cache(vocab: Vocabulary, family: HashFamily, width: int = 64) -> Finge
     """Precompute the fingerprint of every vocabulary unit."""
     table = minhash_units(family, vocab.units, dtype=np.uint32 if width == 32 else np.uint64)
     table.setflags(write=False)
-    return FingerprintCache(table=table, n_hashes=family.size_n, width=width)
+    return FingerprintCache(table, family.size_n, vocab.digest, width)
 
 
 def save_cache(cache: FingerprintCache, path: str) -> None:
     header = CACHE_MAGIC + struct.pack(
-        "<IQIB", CACHE_VERSION, cache.vocab_size, cache.n_hashes, cache.width
+        "<IQIB32s", CACHE_VERSION, cache.vocab_size, cache.n_hashes, cache.width, cache.vocab_digest
     )
     with open(path, "wb") as fh:
         fh.write(header)
@@ -121,9 +123,11 @@ def save_cache(cache: FingerprintCache, path: str) -> None:
 
 def load_cache(path: str, expected_vocab_size: int | None = None) -> FingerprintCache:
     reader = ContainerReader(path, CACHE_MAGIC, "fingerprint cache file")
-    version, vocab_size, n_hashes, width = reader.unpack("<IQIB")
+    (version,) = reader.unpack("<I")
     if version != CACHE_VERSION:
-        raise ModelFileError(f"{path}: unsupported cache version {version}")
+        raise ModelFileError(f"{path}: unsupported cache version {version}; "
+                             "rebuild it with hashmixer build-cache")
+    vocab_size, n_hashes, width, vocab_digest = reader.unpack("<QIB32s")
     if width not in (32, 64):
         raise ModelFileError(f"{path}: invalid cache width {width}")
     if expected_vocab_size is not None and vocab_size != expected_vocab_size:
@@ -133,7 +137,7 @@ def load_cache(path: str, expected_vocab_size: int | None = None) -> Fingerprint
         )
     table = reader.array(f"<u{width // 8}", (vocab_size, n_hashes))
     reader.finish()
-    return FingerprintCache(table=table, n_hashes=n_hashes, width=width)
+    return FingerprintCache(table, n_hashes, vocab_digest, width)
 
 
 def token_fingerprint(rows: list[int], cache: FingerprintCache) -> np.ndarray:

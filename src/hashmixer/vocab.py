@@ -7,8 +7,10 @@ Swapping the file swaps the tokenizer; nothing else changes.
 
 from __future__ import annotations
 
+import hashlib
 import unicodedata
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DataError
 from .files import read_text
@@ -29,6 +31,11 @@ class Vocabulary:
 
     def __contains__(self, unit: str) -> bool:
         return unit in self.index
+
+    @cached_property
+    def digest(self) -> bytes:
+        """SHA-256 of the units joined by ``\n`` in UTF-8: the identity a cache records."""
+        return hashlib.sha256("\n".join(self.units).encode("utf-8")).digest()
 
     @classmethod
     def from_units(cls, units: list[str]) -> "Vocabulary":

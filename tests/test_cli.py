@@ -16,6 +16,7 @@ import hashmixer
 from hashmixer.cli import run
 from hashmixer.config import build_run_config
 from hashmixer.data import LabelInventory, load_jsonl
+from hashmixer.hashing import HashFamily
 from hashmixer.mixer import count_parameters, forward_batch, init_params
 from hashmixer.model_io import (
     MODEL_MAGIC,
@@ -26,6 +27,7 @@ from hashmixer.model_io import (
     save_quantized_model,
 )
 from hashmixer.projection import (
+    CACHE_MAGIC,
     FeatureMatrix,
     ProjectionConfig,
     SequenceFeaturizer,
@@ -489,6 +491,107 @@ class TestExitCodes:
                 self._exits_2_naming(capsys, argv + ["--config", str(path)], cache)
             else:  # the cache of the config's own vocabulary loads
                 assert run(argv + ["--config", str(path)]) == 0
+
+    @staticmethod
+    def _write_config(workspace, tmp_path, name, **paths):
+        """The workspace config with some ``paths`` replaced, written to ``tmp_path/name``."""
+        config = json.load(open(workspace["config"], encoding="utf-8"))
+        config["train"]["epochs"] = 1
+        config["paths"].update(paths, out_dir=str(tmp_path / "newrun"))
+        path = tmp_path / name
+        path.write_text(json.dumps(config), encoding="utf-8")
+        return str(path)
+
+    @staticmethod
+    def _argv(command, trained, workspace, tmp_path, config):
+        return {
+            "eval": ["eval", "--model", os.path.join(trained, "model.bin"),
+                     "--data", workspace["paths"]["val"]],
+            "predict": ["predict", "--model", os.path.join(trained, "model.bin"),
+                        "--text", "a b"],
+            "project": ["project", "--input", workspace["paths"]["val"],
+                        "-o", str(tmp_path / "f.bin")],
+            "train": ["train"],
+        }[command] + ["--config", config, "--quiet"]
+
+    @pytest.mark.parametrize("command", ["eval", "predict", "project", "train"])
+    def test_cache_of_a_vocabulary_with_two_units_swapped_is_data_error(
+            self, trained, workspace, tmp_path, capsys, command):
+        # the workspace units plus 100 that no dataset word holds, so they never change a split
+        units = open(workspace["paths"]["vocab"], encoding="utf-8").read().splitlines()
+        units += [f"\u2603{i:03d}" for i in range(100)]
+        # rows outside an evenly spaced 64-row sample, first and last included
+        sampled = set(np.linspace(0, len(units) - 1, 64).round().astype(int).tolist())
+        row = next(r for r in range(len(units) - 100, len(units) - 1)
+                   if r not in sampled and r + 1 not in sampled)
+        swapped = list(units)
+        swapped[row], swapped[row + 1] = units[row + 1], units[row]
+        vocab, other = tmp_path / "vocab.txt", tmp_path / "swapped.txt"
+        vocab.write_text("\n".join(units) + "\n", encoding="utf-8")
+        other.write_text("\n".join(swapped) + "\n", encoding="utf-8")
+        cache = tmp_path / "cache.bin"
+        assert run(["build-cache", "--vocab", str(vocab), "--hashes", "32",
+                    "-o", str(cache), "--quiet"]) == 0
+        bad = self._write_config(workspace, tmp_path, "swapped.json", vocab=str(other),
+                                 cache=str(cache))
+        self._exits_2_naming(capsys, self._argv(command, trained, workspace, tmp_path, bad),
+                             cache, str(other))
+        assert not (tmp_path / "newrun").exists()
+        good = self._write_config(workspace, tmp_path, "own.json", vocab=str(vocab),
+                                  cache=str(cache))
+        assert run(self._argv(command, trained, workspace, tmp_path, good)) == 0
+
+    def test_version_1_cache_is_data_error(self, trained, workspace, tmp_path, capsys):
+        table = build_cache(load_vocab(workspace["paths"]["vocab"]), HashFamily(32)).table
+        cache = tmp_path / "v1.bin"
+        cache.write_bytes(CACHE_MAGIC + struct.pack("<IQIB", 1, len(table), 32, 64)
+                          + table.astype("<u8").tobytes())
+        config = self._write_config(workspace, tmp_path, "v1.json", cache=str(cache))
+        self._exits_2_naming(capsys, self._argv("eval", trained, workspace, tmp_path, config),
+                             cache, "hashmixer build-cache")
+
+    @pytest.mark.parametrize("command", ["eval", "predict", "project", "train"])
+    def test_missing_named_cache_is_data_error(self, trained, workspace, tmp_path, capsys,
+                                               command):
+        cache = tmp_path / "nope.bin"
+        config = self._write_config(workspace, tmp_path, "nope.json", cache=str(cache))
+        self._exits_2_naming(capsys, self._argv(command, trained, workspace, tmp_path, config),
+                             cache)
+        assert not (tmp_path / "newrun").exists()
+
+    def test_vocabulary_with_crlf_line_ends_loads_with_its_cache(self, trained, workspace,
+                                                                 tmp_path, capsys):
+        units = open(workspace["paths"]["vocab"], encoding="utf-8").read().splitlines()
+        crlf = tmp_path / "crlf.txt"
+        crlf.write_bytes("\r\n".join(units).encode("utf-8"))  # no newline after the last
+        cache = tmp_path / "cache.bin"
+        assert run(["build-cache", "--vocab", workspace["paths"]["vocab"], "--hashes", "32",
+                    "-o", str(cache), "--quiet"]) == 0
+        reports = []
+        for vocab in (workspace["paths"]["vocab"], str(crlf)):
+            config = self._write_config(workspace, tmp_path, "c.json", vocab=vocab,
+                                        cache=str(cache))
+            assert run(self._argv("eval", trained, workspace, tmp_path, config)) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("key", ["vocab", "train_data", "val_data"])  # cache: just above
+    def test_train_that_exits_2_creates_no_out_dir(self, workspace, tmp_path, capsys, key):
+        missing = tmp_path / "missing.txt"
+        config = self._write_config(workspace, tmp_path, "missing.json", **{key: str(missing)})
+        self._exits_2_naming(capsys, ["train", "--config", config, "--quiet"], missing)
+        assert not (tmp_path / "newrun").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "project", "train"])
+    def test_dataset_without_examples_is_data_error(self, trained, workspace, tmp_path, capsys,
+                                                    command):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("\n", encoding="utf-8")
+        config = self._write_config(workspace, tmp_path, "empty.json", val_data=str(empty))
+        argv = self._argv(command, trained, workspace, tmp_path, config)
+        if command != "train":  # eval and project read the file given on the command line
+            argv[argv.index(workspace["paths"]["val"])] = str(empty)
+        self._exits_2_naming(capsys, argv, empty, "no examples")
 
     def test_help_exits_zero(self):
         assert run(["--help"]) == 0

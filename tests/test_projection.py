@@ -1,3 +1,6 @@
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +9,7 @@ from hypothesis import strategies as st
 from hashmixer.errors import ModelFileError
 from hashmixer.hashing import HashFamily, all_hashes, char_trigrams, minhash_unit, string_hash
 from hashmixer.projection import (
+    CACHE_MAGIC,
     FingerprintCache,
     ProjectionConfig,
     SequenceFeaturizer,
@@ -83,6 +87,32 @@ class TestCache:
         save_cache(cache, path)
         with pytest.raises(ModelFileError, match="vocabulary"):
             load_cache(path, expected_vocab_size=len(tiny_vocab) + 1)
+
+    # sha256 of the table bytes after the header, as written before the header held a digest
+    TABLE_SHA256 = {32: "69402eabf0b3af79bbded564aba156902db70461016596de2aa6d7a17f158ee0",
+                    64: "f63ba2743f5f80299dec45279ad3d930ed73c9e80845d9cd6729661cea26e5dd"}
+
+    @pytest.mark.parametrize("width", [32, 64])
+    def test_header_records_the_vocabulary_digest(self, tiny_vocab, family64, tmp_path, width):
+        path = str(tmp_path / "c.bin")
+        save_cache(build_cache(tiny_vocab, family64, width=width), path)
+        blob = open(path, "rb").read()
+        header = struct.calcsize("<IQIB32s")
+        digest = hashlib.sha256("\n".join(tiny_vocab.units).encode("utf-8")).digest()
+        assert blob[: len(CACHE_MAGIC)] == CACHE_MAGIC
+        assert struct.unpack_from("<IQIB32s", blob, len(CACHE_MAGIC)) == (
+            2, len(tiny_vocab), 64, width, digest)
+        table = blob[len(CACHE_MAGIC) + header:]
+        assert hashlib.sha256(table).hexdigest() == self.TABLE_SHA256[width]
+        assert load_cache(path).vocab_digest == digest == tiny_vocab.digest
+
+    def test_version_1_cache_rejected(self, tiny_vocab, family64, tmp_path):
+        table = build_cache(tiny_vocab, family64).table
+        path = tmp_path / "v1.bin"
+        path.write_bytes(CACHE_MAGIC + struct.pack("<IQIB", 1, len(tiny_vocab), 64, 64)
+                         + table.astype("<u8").tobytes())
+        with pytest.raises(ModelFileError, match="v1.bin.*rebuild it with hashmixer build-cache"):
+            load_cache(str(path))
 
 
 class TestTokenFingerprint:

@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import pytest
@@ -37,6 +38,19 @@ class TestLoadVocab:
         path.write_text("the\ncat\n", encoding="utf-8")
         with pytest.raises(DataError, match=r"\[UNK\]"):
             load_vocab(str(path))
+
+    def test_digest_is_sha256_of_the_units_one_per_line(self, tmp_path):
+        expected = hashlib.sha256("[UNK]\nBring\n##ing\nd\u00e9j\u00e0".encode("utf-8")).digest()
+        path = tmp_path / "vocab.txt"
+        for text in ("[UNK]\nBring\n##ing\nd\u00e9j\u00e0\n",
+                     "[UNK]\r\nBring\r\n##ing\r\nd\u00e9j\u00e0"):
+            path.write_bytes(text.encode("utf-8"))
+            vocab = load_vocab(str(path))
+            assert "digest" not in vocab.__dict__  # loading alone does not compute it
+            assert vocab.digest == expected
+            assert "digest" in vocab.__dict__  # computed once, then kept
+        swapped = Vocabulary.from_units(["[UNK]", "##ing", "Bring", "d\u00e9j\u00e0"])
+        assert swapped.digest != expected
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
