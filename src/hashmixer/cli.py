@@ -55,27 +55,13 @@ def _emit(args, payload: dict) -> None:
         print(json.dumps(payload))
 
 
-def _load_vocab_and_cache(cfg: RunConfig):
-    """Load the vocabulary and the minhash cache file (``None`` when the config names none)."""
+def _featurizer(cfg: RunConfig) -> SequenceFeaturizer:
     if cfg.vocab_path is None:
         raise ValueError("config paths.vocab is required for this command")
     vocab = load_vocab(cfg.vocab_path)
-    path = cfg.cache_path
-    if cfg.projection.kind != "minhash" or path is None:
-        return vocab, None
-    cache = load_cache(path, expected_vocab_size=len(vocab))
-    if cache.n_hashes != cfg.projection.n_hashes:
-        raise DataError(
-            f"{path} was built with {cache.n_hashes} hashes, "
-            f"config expects {cfg.projection.n_hashes}"
-        )
-    if cache.vocab_digest != vocab.digest:
-        raise DataError(f"{path} was not built from the vocabulary {cfg.vocab_path}")
-    return vocab, cache
-
-
-def _featurizer(cfg: RunConfig) -> SequenceFeaturizer:
-    vocab, cache = _load_vocab_and_cache(cfg)
+    cache = None
+    if cfg.projection.kind == "minhash" and cfg.cache_path is not None:
+        cache = load_cache(cfg.cache_path)
     return SequenceFeaturizer(vocab, cfg.projection, cache=cache)
 
 
@@ -119,7 +105,7 @@ def _cmd_train(args) -> int:
     out_dir = cfg.out_dir
     if out_dir is None:
         raise ValueError("an output directory is required (--out or paths.out_dir)")
-    vocab, cache = _load_vocab_and_cache(cfg)
+    featurizer = _featurizer(cfg)
     train_examples = load_jsonl(cfg.train_data)
     val_examples = load_jsonl(cfg.val_data)
     os.makedirs(out_dir, exist_ok=True)  # only once every input has loaded
@@ -134,14 +120,14 @@ def _cmd_train(args) -> int:
         result = train(
             train_examples,
             val_examples,
-            vocab,
+            featurizer.vocab,
             cfg.projection,
             cfg.train,
             bottleneck=cfg.bottleneck,
             hidden=cfg.hidden,
             depth=cfg.depth,
             head=cfg.head,
-            cache=cache,
+            cache=featurizer.cache,
             log_fn=log_fn,
         )
 

@@ -29,11 +29,11 @@ rule; binary and tsp hash every unit whole.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ModelFileError
+from .errors import DataError, ModelFileError
 from .files import ContainerReader
 from .hashing import HashFamily, all_hashes, gram_hashes, minhash_units
 from .vocab import Vocabulary, tokenize_word
@@ -86,13 +86,14 @@ class FingerprintCache:
 
     ``width`` 64 stores raw fingerprints; 32 stores the low halves, applied
     identically at build and lookup so cached and direct paths agree.
-    ``vocab_digest`` is the :attr:`Vocabulary.digest` of the vocabulary it was built from.
+    ``vocab_digest`` is the :attr:`Vocabulary.digest` of its vocabulary; ``path`` its file, if any.
     """
 
     table: np.ndarray
     n_hashes: int
     vocab_digest: bytes
     width: int = 64
+    path: str | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.width not in (32, 64):
@@ -131,13 +132,11 @@ def load_cache(path: str, expected_vocab_size: int | None = None) -> Fingerprint
     if width not in (32, 64):
         raise ModelFileError(f"{path}: invalid cache width {width}")
     if expected_vocab_size is not None and vocab_size != expected_vocab_size:
-        raise ModelFileError(
-            f"{path}: cache built for vocabulary of {vocab_size} units, "
-            f"got a vocabulary of {expected_vocab_size}"
-        )
+        raise ModelFileError(f"{path}: cache built for vocabulary of {vocab_size} units, "
+                             f"got a vocabulary of {expected_vocab_size}")
     table = reader.array(f"<u{width // 8}", (vocab_size, n_hashes))
     reader.finish()
-    return FingerprintCache(table, n_hashes, vocab_digest, width)
+    return FingerprintCache(table, n_hashes, vocab_digest, width, path)
 
 
 def token_fingerprint(rows: list[int], cache: FingerprintCache) -> np.ndarray:
@@ -253,8 +252,9 @@ class SequenceFeaturizer:
 
     Token features live in one float32 table that grows by doubling; row 0
     is reserved as the zero (padding) feature. Counting, bitmap and ternary
-    features are small integers, so float32 holds them exactly. Without a
-    cache, a minhash featurizer builds the vocabulary's fingerprints itself.
+    features are small integers, so float32 holds them exactly. A minhash
+    featurizer rejects a cache of another vocabulary or hash count
+    (:class:`DataError`) and builds its own without one; other kinds ignore it.
     """
 
     _INITIAL_ROWS = 256
@@ -268,8 +268,16 @@ class SequenceFeaturizer:
         self.vocab = vocab
         self.cfg = cfg
         self.family = HashFamily(cfg.n_hashes)
-        if cache is None and cfg.kind == "minhash":
+        if cfg.kind != "minhash":
+            cache = None
+        elif cache is None:
             cache = build_cache(vocab, self.family)
+        elif cache.n_hashes != cfg.n_hashes:
+            raise DataError(f"{cache.path or 'the fingerprint cache'} was built with "
+                            f"{cache.n_hashes} hashes, config expects {cfg.n_hashes}")
+        elif cache.vocab_size != len(vocab) or cache.vocab_digest != vocab.digest:
+            raise DataError(f"{cache.path or 'the fingerprint cache'} was not built from "
+                            f"the vocabulary {vocab.path or 'given'}")
         self.cache = cache
         self._table = np.zeros((self._INITIAL_ROWS, cfg.token_feature_len), dtype=np.float32)
         self._ids: dict[str, int] = {}

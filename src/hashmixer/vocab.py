@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import DataError
@@ -21,10 +21,11 @@ DEFAULT_UNK = "[UNK]"
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Ordered subword units with a reverse index."""
+    """Ordered subword units with a reverse index; ``path`` (``None`` in memory) is for messages."""
 
     units: tuple[str, ...]
     index: dict[str, int]
+    path: str | None = field(default=None, compare=False)
 
     def __len__(self) -> int:
         return len(self.units)
@@ -35,25 +36,30 @@ class Vocabulary:
     @cached_property
     def digest(self) -> bytes:
         """SHA-256 of the units joined by ``\n`` in UTF-8: the identity a cache records."""
-        return hashlib.sha256("\n".join(self.units).encode("utf-8")).digest()
+        text = "\n".join(self.units)
+        if text.count("\n") > len(self.units) - 1:  # the join could not be split back
+            raise DataError("a vocabulary unit holds a line feed, so the vocabulary has no digest")
+        return hashlib.sha256(text.encode("utf-8")).digest()
 
     @classmethod
-    def from_units(cls, units: list[str]) -> "Vocabulary":
+    def from_units(cls, units: list[str], path: str | None = None) -> "Vocabulary":
+        where = f"vocabulary {path}" if path else "vocabulary"
         index: dict[str, int] = {}
         for lineno, unit in enumerate(units, start=1):
             if not unit:
-                raise DataError(f"vocabulary line {lineno}: empty unit")
+                raise DataError(f"{where} line {lineno}: empty unit")
             if unit in index:
-                raise DataError(f"vocabulary line {lineno}: duplicate unit {unit!r}")
+                raise DataError(f"{where} line {lineno}: duplicate unit {unit!r}")
             index[unit] = lineno - 1
         if DEFAULT_UNK not in index:
-            raise DataError(f"vocabulary is missing the unknown token {DEFAULT_UNK!r}")
-        return cls(units=tuple(units), index=index)
+            raise DataError(f"{where} is missing the unknown token {DEFAULT_UNK!r}")
+        return cls(units=tuple(units), index=index, path=path)
 
 
 def load_vocab(path: str) -> Vocabulary:
-    """Load a newline-separated vocabulary file, preserving order."""
-    return Vocabulary.from_units(read_text(path, "vocabulary file").splitlines())
+    """Load a vocabulary file, one unit per line (split on ``\n`` only), preserving order."""
+    text = read_text(path, "vocabulary file")  # the final line feed ends a line, not a unit
+    return Vocabulary.from_units(text.removesuffix("\n").split("\n") if text else [], path)
 
 
 def save_vocab(units: list[str], path: str) -> None:

@@ -655,6 +655,18 @@ class TestExitCodes:
         for name in names:
             assert name in err
 
+    @pytest.mark.parametrize("text, message", [
+        ("[UNK]\n\nthe\n", "line 2: empty unit"),
+        ("[UNK]\na\nb\na\n", "line 4: duplicate unit 'a'"),
+        ("the\ncat\n", "missing the unknown token '[UNK]'"),
+    ], ids=["empty", "duplicate", "no_unk"])
+    def test_vocabulary_format_error_names_the_file(self, tmp_path, capsys, text, message):
+        vocab = tmp_path / "v.txt"
+        vocab.write_text(text, encoding="utf-8")
+        self._exits_2_naming(capsys, ["build-cache", "--vocab", str(vocab),
+                                      "-o", str(tmp_path / "c.bin"), "--quiet"], vocab, message)
+        assert not (tmp_path / "c.bin").exists()
+
     @pytest.mark.parametrize("kind", ["vocab", "dataset", "config", "labels", "raw_tsv"])
     def test_non_utf8_input_file_is_data_error(self, trained, workspace, tmp_path, capsys, kind):
         bad = tmp_path / "bad.txt"

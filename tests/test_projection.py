@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import struct
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hashmixer.errors import ModelFileError
+from hashmixer.errors import DataError, ModelFileError
 from hashmixer.hashing import HashFamily, all_hashes, char_trigrams, minhash_unit, string_hash
 from hashmixer.projection import (
     CACHE_MAGIC,
@@ -23,7 +24,7 @@ from hashmixer.projection import (
     token_fingerprint,
     tsp_feature,
 )
-from hashmixer.vocab import Vocabulary, tokenize_word
+from hashmixer.vocab import Vocabulary, load_vocab, tokenize_word
 
 words = st.text(alphabet="abcdefgh", min_size=1, max_size=12)
 
@@ -413,3 +414,45 @@ class TestProjectSequence:
         m = cfg.feature_size
         assert np.array_equal(data[m : 2 * m, 0], unk)
         assert valid_len == 1
+
+
+class TestFeaturizerCacheCheck:
+    """A minhash featurizer takes only a cache of its own vocabulary and hash count."""
+
+    CFG = ProjectionConfig(n_hashes=64, feature_size=16, window=1, max_seq_len=4)
+
+    @staticmethod
+    def _rejects(vocab, cache, cfg, *names):
+        with pytest.raises(DataError) as err:
+            SequenceFeaturizer(vocab, cfg, cache=cache)
+        for name in names:
+            assert name in str(err.value)
+        assert "None" not in str(err.value)  # an in-memory cache or vocabulary has no path
+
+    def test_cache_of_another_vocabulary_is_rejected(self, tiny_vocab, family64):
+        swapped = list(tiny_vocab.units)
+        swapped[1], swapped[3] = swapped[3], swapped[1]
+        cache = build_cache(tiny_vocab, family64)
+        for other in (swapped, list(tiny_vocab.units) + ["extra"]):
+            self._rejects(Vocabulary.from_units(other), cache, self.CFG, "not built from")
+        assert SequenceFeaturizer(tiny_vocab, self.CFG, cache=cache).cache is cache
+
+    def test_cache_with_another_hash_count_is_rejected(self, tiny_vocab):
+        cache = build_cache(tiny_vocab, HashFamily(16))
+        self._rejects(tiny_vocab, cache, self.CFG, "16 hashes", "expects 64")
+
+    def test_messages_name_the_files(self, tiny_vocab, family64, tmp_path):
+        vocab_path, cache_path = tmp_path / "vocab.txt", tmp_path / "cache.bin"
+        vocab_path.write_text("\n".join(reversed(tiny_vocab.units)) + "\n", encoding="utf-8")
+        save_cache(build_cache(tiny_vocab, family64), str(cache_path))
+        self._rejects(load_vocab(str(vocab_path)), load_cache(str(cache_path)), self.CFG,
+                      str(cache_path), str(vocab_path))
+
+    @pytest.mark.parametrize("kind", ["binary", "tsp", "simhash"])
+    def test_other_kinds_ignore_any_cache(self, tiny_vocab, kind):
+        cfg = dataclasses.replace(self.CFG, kind=kind, simhash_bits=16)
+        stray = build_cache(Vocabulary.from_units(["[UNK]", "zz"]), HashFamily(8))
+        assert SequenceFeaturizer(tiny_vocab, cfg, cache=stray).cache is None
+        tokens = ["Bringing", "it", "the"]
+        assert np.array_equal(_featurize(tokens, tiny_vocab, stray, cfg)[0],
+                              _featurize(tokens, tiny_vocab, None, cfg)[0])

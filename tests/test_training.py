@@ -7,7 +7,8 @@ import pytest
 from hashmixer.data import synth_examples
 from hashmixer.errors import DataError
 from hashmixer.mixer import ModelConfig, backward_batch, forward_batch, init_params
-from hashmixer.projection import ProjectionConfig, SequenceFeaturizer, TokenWindows
+from hashmixer.hashing import HashFamily
+from hashmixer.projection import ProjectionConfig, SequenceFeaturizer, TokenWindows, build_cache
 from hashmixer import training
 from hashmixer.training import (
     IGNORE_LABEL,
@@ -186,6 +187,19 @@ class TestTrainLoop:
         for i in range(3, len(losses)):
             assert losses[i] < max(losses[i - 3 : i])
         assert result.best_metric > 0.8
+
+    def test_cache_of_another_vocabulary_or_hash_count_is_rejected(self, small_task):
+        task, vocab, proj = small_task
+        tc = TrainConfig(batch_size=128, epochs=1, seed=5)
+        kwargs = dict(bottleneck=16, hidden=32, depth=1, head="token")
+        reordered = Vocabulary.from_units(list(reversed(task.vocab_units)))  # same units
+        for cache, message in ((build_cache(reordered, HashFamily(32)), "not built from"),
+                               (build_cache(vocab, HashFamily(16)), "16 hashes")):
+            with pytest.raises(DataError, match=message):
+                train(task.train, task.val, vocab, proj, tc, cache=cache, **kwargs)
+        # the vocabulary's own cache trains
+        train(task.train, task.val, vocab, proj, tc, cache=build_cache(vocab, HashFamily(32)),
+              **kwargs)
 
     def test_same_seed_gives_identical_logs(self, small_task):
         task, vocab, proj = small_task

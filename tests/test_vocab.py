@@ -1,11 +1,14 @@
 import hashlib
 import os
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hashmixer.errors import DataError
+from hashmixer.hashing import HashFamily, minhash_unit
+from hashmixer.projection import build_cache
 from hashmixer.vocab import Vocabulary, load_vocab, pre_tokenize, tokenize_word
 
 PUBLISHED_VOCAB = os.environ.get("HASHMIXER_VOCAB")
@@ -51,6 +54,25 @@ class TestLoadVocab:
             assert "digest" in vocab.__dict__  # computed once, then kept
         swapped = Vocabulary.from_units(["[UNK]", "##ing", "Bring", "d\u00e9j\u00e0"])
         assert swapped.digest != expected
+
+    def test_units_are_split_on_line_feeds_only(self, tmp_path):
+        # other Unicode line breaks stay inside their unit; CRLF and CR end a line
+        lines = ["[UNK]", "z\x85w", "q\x0cr", "v\x0bu", "s\x1ct", "p\u2028o", "n\u2029m", "k"]
+        path = tmp_path / "vocab.txt"
+        path.write_bytes(("\n".join(lines[:-2]) + "\r\n" + lines[-2] + "\r" + lines[-1] + "\n")
+                         .encode("utf-8"))
+        vocab = load_vocab(str(path))
+        assert vocab.units == tuple(lines)
+        family = HashFamily(8)
+        table = build_cache(vocab, family).table
+        for row, unit in enumerate(lines):
+            assert np.array_equal(table[row], minhash_unit(family, unit)), unit
+
+    @pytest.mark.parametrize("units", [["[UNK]", "a\nb", "c"], ["[UNK]", "a", "b\nc"]])
+    def test_digest_rejects_a_unit_holding_a_line_feed(self, units):
+        # joined by line feeds, these two would share one digest
+        with pytest.raises(DataError, match="line feed"):
+            Vocabulary.from_units(units).digest
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
