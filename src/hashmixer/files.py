@@ -1,23 +1,46 @@
-"""Input file readers; a file that cannot be read, decoded or parsed is a DataError naming it."""
+"""Input file readers and the atomic file writer.
+
+A file that cannot be read, decoded or parsed is a DataError naming it.
+"""
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import mmap
+import os
+import secrets
 import struct
 
 import numpy as np
 
 from .errors import DataError, ModelFileError
 
+TEMP_SUFFIX = ".hashmixer-tmp"
+
+
+def read_utf8(path: str, what: str) -> tuple[bytes, str]:
+    """The whole file's bytes and their UTF-8 text, with universal newlines.
+
+    ``\\r\\n`` and ``\\r`` read as ``\\n`` in both: the bytes are the text's
+    UTF-8 encoding, with no second encode.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        text = data.decode("utf-8")  # before translating, so an error's position is the file's
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
+    if "\r" in text:  # a CR byte is never part of a longer UTF-8 sequence
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        text = data.decode("utf-8")
+    return data, text
+
 
 def read_text(path: str, what: str) -> str:
     """The whole UTF-8 file, with universal newlines (``\\r\\n`` and ``\\r`` read as ``\\n``)."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read {what} {path}: {exc}") from exc
+    return read_utf8(path, what)[1]
 
 
 def read_json(path: str, what: str):
@@ -28,17 +51,53 @@ def read_json(path: str, what: str):
         raise DataError(f"{path}: invalid JSON: {exc}") from exc
 
 
+@contextlib.contextmanager
+def replacing(path: str):
+    """A new binary file that replaces ``path`` when the block completes.
+
+    The data goes to a temporary file beside ``path`` (named
+    ``.<name>.<random><TEMP_SUFFIX>``), renamed over ``path`` only on
+    success. On any exception the temporary file is removed and an existing
+    ``path`` is left untouched, so a process that maps the old file keeps
+    reading the old bytes.
+    """
+    target = os.path.realpath(path)  # through a symbolic link, as open(path, "wb") writes
+    directory, name = os.path.split(target)
+    tmp = os.path.join(directory, f".{name}.{secrets.token_hex(4)}{TEMP_SUFFIX}")
+    try:
+        fh = open(tmp, "xb")
+    except OSError as exc:  # named after the caller's file, not the temporary one
+        raise OSError(exc.errno, exc.strerror, path) from exc
+    try:
+        with fh:
+            yield fh
+        try:
+            os.replace(tmp, target)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from exc
+    except BaseException:
+        with contextlib.suppress(OSError):  # the first error is the one to report
+            os.remove(tmp)
+        raise
+
+
 class ContainerReader:
     """Sequential reads over a binary container that starts with ``magic``.
 
-    Each read is a view of the file's bytes, not a copy. A read past the end,
-    and bytes left over at :meth:`finish`, are :class:`ModelFileError`.
+    The file is mapped read-only, and each read is a view of the mapping,
+    not a copy: only the pages a caller touches are read from disk. A file
+    that cannot be mapped (an empty file, a pipe) is read into memory
+    instead. A read past the end, and bytes left over at :meth:`finish`, are
+    :class:`ModelFileError`.
     """
 
     def __init__(self, path: str, magic: bytes, what: str) -> None:
         try:
             with open(path, "rb") as fh:
-                self.blob = memoryview(fh.read())
+                try:
+                    self.blob = memoryview(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ))
+                except (ValueError, OSError):
+                    self.blob = memoryview(fh.read())
         except OSError as exc:
             raise ModelFileError(f"cannot read {what} {path}: {exc}") from exc
         self.path = path

@@ -15,21 +15,21 @@ Feature dump:
     magic "PNLPFEAT" | version u32 | count u64 | rows u32 | cols u32
     per example: valid_len u32 | float32 data (rows x cols, row major)
 
-A dump's count and shape are written last, so a dump cut short has a zero
-header and fails to load. Readers reject a file with bytes after its last
-record.
+Writers fill a temporary file beside the target and rename it over the
+target only once it is complete (:func:`files.replacing`), so a reader never
+sees a partial file and a process holding the old one keeps it. Readers map
+the file and reject one with bytes after its last record.
 """
 
 from __future__ import annotations
 
-import os
 import struct
 from collections.abc import Iterable
 
 import numpy as np
 
 from .errors import ModelFileError
-from .files import ContainerReader
+from .files import ContainerReader, replacing
 from .mixer import ModelConfig, ModelParams, param_shapes
 from .projection import FeatureMatrix
 from .quantize import QuantTensor, dequantize
@@ -63,15 +63,15 @@ def _pack_header(cfg: ModelConfig, tensor_count: int) -> bytes:
 
 def save_model(path: str, params: ModelParams, cfg: ModelConfig) -> None:
     """Write float32 tensors in the canonical parameter order."""
-    with open(path, "wb") as fh:
+    with replacing(path) as fh:
         fh.write(_pack_header(cfg, len(params)))
         for name, tensor in params.items():
             _write_tensor_header(fh, name, TENSOR_FLOAT32, tensor.shape)
-            fh.write(np.ascontiguousarray(tensor, dtype="<f4").tobytes())
+            fh.write(np.ascontiguousarray(tensor, dtype="<f4"))
 
 
 def save_quantized_model(path: str, qparams: dict[str, QuantTensor], cfg: ModelConfig) -> None:
-    with open(path, "wb") as fh:
+    with replacing(path) as fh:
         fh.write(_pack_header(cfg, len(qparams)))
         for name, q in qparams.items():
             _write_tensor_header(fh, name, TENSOR_INT8, q.shape)
@@ -91,12 +91,12 @@ def load_model(path: str) -> tuple[ModelParams, ModelConfig, bool]:
     """Read a model container; quantized tensors come back dequantized.
 
     Returns ``(params, config, was_quantized)``, each parameter a writeable,
-    aligned array of its own. A container of float32 tensors loads as
-    float32, exactly as stored. A container with any int8 tensor loads as
-    float64, where ``values * scale`` (up to 31 significant bits) is exact
-    and so compares exactly with the float weights it was quantized from;
-    inference casts it to float32. A float32 tensor holding NaN or
-    infinity is a :class:`ModelFileError`.
+    aligned array of its own, copied out of the mapped file. A container of
+    float32 tensors loads as float32, exactly as stored. A container with
+    any int8 tensor loads as float64, where ``values * scale`` (up to 31
+    significant bits) is exact and so compares exactly with the float
+    weights it was quantized from; inference casts it to float32. A float32
+    tensor holding NaN or infinity is a :class:`ModelFileError`.
     """
     reader = ContainerReader(path, MODEL_MAGIC, "model container")
     (version, input_rows, seq_len, bottleneck, hidden, depth,
@@ -168,34 +168,29 @@ def save_features(path: str, matrices: Iterable[FeatureMatrix]) -> None:
 
     ``matrices`` may be a generator: each matrix is written as it arrives,
     so a dump never has to fit in memory. The count and shape go into the
-    header when the stream ends. A dump whose matrices disagree in shape is
-    deleted.
+    header when the stream ends. A stream that fails, or whose matrices
+    disagree in shape, leaves ``path`` as it was.
     """
     shape, count = None, 0
-    with open(path, "wb") as fh:
+    with replacing(path) as fh:
         fh.write(FEATURES_MAGIC + struct.pack("<IQII", CONTAINER_VERSION, 0, 0, 0))
-        try:
-            for m in matrices:
-                if shape is None:
-                    shape = m.data.shape
-                elif m.data.shape != shape:
-                    raise ValueError("all feature matrices in one dump must share a shape")
-                fh.write(struct.pack("<I", m.valid_len))
-                fh.write(np.ascontiguousarray(m.data, dtype="<f4").tobytes())
-                count += 1
-                # hold no matrix while the generator builds its next one, which
-                # may be a view of a batch it can then free
-                del m
-        except ValueError:
-            fh.close()
-            os.remove(path)
-            raise
+        for m in matrices:
+            if shape is None:
+                shape = m.data.shape
+            elif m.data.shape != shape:
+                raise ValueError("all feature matrices in one dump must share a shape")
+            fh.write(struct.pack("<I", m.valid_len))
+            fh.write(np.ascontiguousarray(m.data, dtype="<f4"))
+            count += 1
+            # hold no matrix while the generator builds its next one, which
+            # may be a view of a batch it can then free
+            del m
         fh.seek(len(FEATURES_MAGIC))
         fh.write(struct.pack("<IQII", CONTAINER_VERSION, count, *(shape or (0, 0))))
 
 
 def load_features(path: str) -> list[FeatureMatrix]:
-    """Read a feature dump; each matrix is a read-only float32 view of the file's bytes."""
+    """Read a feature dump; each matrix is a read-only float32 view of the mapped file."""
     reader = ContainerReader(path, FEATURES_MAGIC, "feature dump")
     version, count, rows, cols = reader.unpack("<IQII")
     if version != CONTAINER_VERSION:

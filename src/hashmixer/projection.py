@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, ModelFileError
-from .files import ContainerReader
+from .files import ContainerReader, replacing
 from .hashing import HashFamily, all_hashes, gram_hashes, minhash_units
 from .vocab import Vocabulary, tokenize_word
 
@@ -117,12 +117,14 @@ def save_cache(cache: FingerprintCache, path: str) -> None:
     header = CACHE_MAGIC + struct.pack(
         "<IQIB32s", CACHE_VERSION, cache.vocab_size, cache.n_hashes, cache.width, cache.vocab_digest
     )
-    with open(path, "wb") as fh:
+    with replacing(path) as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(cache.table, dtype=f"<u{cache.width // 8}").tobytes())
+        # written from the array's own buffer, without a bytes copy of the table
+        fh.write(np.ascontiguousarray(cache.table, dtype=f"<u{cache.width // 8}"))
 
 
 def load_cache(path: str, expected_vocab_size: int | None = None) -> FingerprintCache:
+    """Read a cache file; its table is a read-only view of the mapped file."""
     reader = ContainerReader(path, CACHE_MAGIC, "fingerprint cache file")
     (version,) = reader.unpack("<I")
     if version != CACHE_VERSION:

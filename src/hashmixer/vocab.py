@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import DataError
-from .files import read_text
+from .files import read_utf8
 
 CONTINUATION_PREFIX = "##"
 DEFAULT_UNK = "[UNK]"
@@ -57,9 +57,23 @@ class Vocabulary:
 
 
 def load_vocab(path: str) -> Vocabulary:
-    """Load a vocabulary file, one unit per line (split on ``\n`` only), preserving order."""
-    text = read_text(path, "vocabulary file")  # the final line feed ends a line, not a unit
-    return Vocabulary.from_units(text.removesuffix("\n").split("\n") if text else [], path)
+    """Load a vocabulary file, one unit per line (split on ``\n`` only), preserving order.
+
+    The index is built in one pass; only a file that fails a check goes
+    through :meth:`Vocabulary.from_units`, whose error names the first bad
+    line. The digest is hashed from the bytes read, after newline
+    translation: they are the units joined by ``\n``, plus the final line
+    feed, which ends a line.
+    """
+    data, text = read_utf8(path, "vocabulary file")
+    units = text.removesuffix("\n").split("\n") if text else []
+    index = dict(zip(units, range(len(units))))
+    if len(index) != len(units) or "" in index or DEFAULT_UNK not in index:
+        return Vocabulary.from_units(units, path)  # raises, naming the line
+    vocab = Vocabulary(units=tuple(units), index=index, path=path)
+    # the value the cached ``digest`` property would compute, from bytes already in hand
+    vocab.__dict__["digest"] = hashlib.sha256(data.removesuffix(b"\n")).digest()
+    return vocab
 
 
 def save_vocab(units: list[str], path: str) -> None:

@@ -95,6 +95,49 @@ class TestBuildCache:
                     "--width", "32", "-o", out, "--quiet"]) == 0
         assert load_cache(out).width == 32
 
+    def test_rewriting_a_mapped_cache_leaves_its_holder_the_old_table(self, workspace,
+                                                                       tmp_path):
+        # a holder would die of SIGBUS if the rewrite truncated the file it maps
+        vocab_path, cache = workspace["paths"]["vocab"], tmp_path / "cache.bin"
+        assert run(["build-cache", "--vocab", vocab_path, "--hashes", "32",
+                    "-o", str(cache), "--quiet"]) == 0
+        vocab = load_vocab(vocab_path)
+        cfg = ProjectionConfig(n_hashes=32, feature_size=256, window=0)
+        old = load_cache(str(cache))
+        old = dataclasses.replace(old, table=np.array(old.table))  # a copy, not the mapping
+        tokens = [u for u in vocab.units if not u.startswith("##")]
+        expected = SequenceFeaturizer(vocab, cfg, old)
+        expected.encode([[t] for t in tokens])
+
+        holder = (
+            "import json, sys\n"
+            "from hashmixer.projection import ProjectionConfig, SequenceFeaturizer, load_cache\n"
+            "from hashmixer.vocab import load_vocab\n"
+            "cfg = ProjectionConfig(n_hashes=32, feature_size=256, window=0)\n"
+            "f = SequenceFeaturizer(load_vocab(sys.argv[1]), cfg, load_cache(sys.argv[2]))\n"
+            "print('ready', flush=True)\n"
+            "f.encode([[t] for t in json.loads(sys.stdin.readline())])\n"
+            "print(json.dumps(f.table.tolist()))\n"
+        )
+        src = os.path.dirname(os.path.dirname(hashmixer.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.Popen([sys.executable, "-c", holder, vocab_path, str(cache)], env=env,
+                                stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+        try:
+            assert proc.stdout.readline() == "ready\n"
+            # half the size at width 32: a rewrite in place would cut the holder's pages off
+            assert run(["build-cache", "--vocab", vocab_path, "--hashes", "32", "--width", "32",
+                        "-o", str(cache), "--quiet"]) == 0
+            out, _ = proc.communicate(json.dumps(tokens) + "\n", timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert proc.returncode == 0  # not -7, SIGBUS
+        assert np.array_equal(np.array(json.loads(out), np.float32), expected.table)
+        assert load_cache(str(cache)).width == 32
+        assert os.listdir(tmp_path) == ["cache.bin"]
+
 
 class TestParams:
     def test_base_preset_parameter_count(self, capsys):
@@ -727,6 +770,24 @@ class TestExitCodes:
             "quantize": ["quantize", "--model", str(path), "-o", str(tmp_path / "q.bin")],
         }[command]
         self._exits_2_naming(capsys, argv + ["--quiet"], path, name)
+
+    @pytest.mark.parametrize("kind", ["empty", "directory"])
+    @pytest.mark.parametrize("role", ["cache", "model"])
+    def test_empty_or_directory_container_is_data_error(self, trained, workspace, tmp_path,
+                                                        capsys, role, kind):
+        path = tmp_path / "container.bin"
+        if kind == "empty":
+            path.write_bytes(b"")
+        else:
+            path.mkdir()
+        if role == "cache":
+            config = self._write_config(workspace, tmp_path, "c.json", cache=str(path))
+            argv = self._argv("eval", trained, workspace, tmp_path, config)
+        else:
+            argv = ["eval", "--model", str(path), "--data", workspace["paths"]["val"],
+                    "--config", workspace["config"],
+                    "--labels", os.path.join(trained, "labels.json"), "--quiet"]
+        self._exits_2_naming(capsys, argv, path)
 
     def test_cache_hash_count_mismatch_is_data_error(self, workspace, tmp_path):
         cache_path = str(tmp_path / "c8.bin")

@@ -1,9 +1,11 @@
+import mmap
+import os
 import struct
 
 import pytest
 
 from hashmixer.errors import DataError, ModelFileError
-from hashmixer.files import ContainerReader, read_json, read_text
+from hashmixer.files import ContainerReader, read_json, read_text, replacing
 
 
 class TestText:
@@ -55,3 +57,64 @@ class TestContainerReader:
         reader = self._reader(tmp_path, b"\x00" * 3)
         with pytest.raises(ModelFileError, match="3 trailing bytes"):
             reader.finish()
+
+    def test_maps_the_file(self, tmp_path):
+        reader = self._reader(tmp_path, b"\x01")
+        assert isinstance(reader.blob.obj, mmap.mmap)
+        assert reader.blob.readonly
+
+    def test_directory_names_the_path(self, tmp_path):
+        with pytest.raises(ModelFileError, match=f"cannot read test container {tmp_path}"):
+            ContainerReader(str(tmp_path), b"MAGC", "test container")
+
+
+class TestReplacing:
+    def test_replaces_the_target_with_a_fresh_file(self, tmp_path):
+        target, plain = tmp_path / "t.bin", tmp_path / "plain.bin"
+        target.write_bytes(b"old contents")
+        with open(plain, "wb"):
+            pass
+        with replacing(str(target)) as fh:
+            fh.write(b"new")
+        assert target.read_bytes() == b"new"
+        assert sorted(os.listdir(tmp_path)) == ["plain.bin", "t.bin"]
+        # the same permissions as a file that open() creates
+        assert target.stat().st_mode == plain.stat().st_mode
+
+    def test_writes_through_a_symbolic_link(self, tmp_path):
+        real, link = tmp_path / "real.bin", tmp_path / "link.bin"
+        real.write_bytes(b"old")
+        link.symlink_to(real)
+        with replacing(str(link)) as fh:
+            fh.write(b"new")
+        assert link.is_symlink() and real.read_bytes() == b"new"
+        assert sorted(os.listdir(tmp_path)) == ["link.bin", "real.bin"]
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failure_leaves_the_target_as_it_was(self, tmp_path, existing):
+        target = tmp_path / "t.bin"
+        if existing:
+            target.write_bytes(b"old contents")
+        with pytest.raises(KeyError):
+            with replacing(str(target)) as fh:
+                fh.write(b"half")
+                raise KeyError("writer died")
+        assert os.listdir(tmp_path) == (["t.bin"] if existing else [])
+        if existing:
+            assert target.read_bytes() == b"old contents"
+
+    def test_missing_directory_names_the_target(self, tmp_path):
+        target = tmp_path / "absent" / "t.bin"
+        with pytest.raises(FileNotFoundError) as info:
+            with replacing(str(target)):
+                pass
+        assert str(info.value).endswith(f"'{target}'")
+
+    def test_directory_target_names_it_and_leaves_nothing(self, tmp_path):
+        target = tmp_path / "d"
+        target.mkdir()
+        with pytest.raises(IsADirectoryError) as info:
+            with replacing(str(target)) as fh:
+                fh.write(b"data")
+        assert str(info.value).endswith(f"'{target}'")
+        assert os.listdir(tmp_path) == ["d"] and os.listdir(target) == []

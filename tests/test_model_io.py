@@ -233,17 +233,21 @@ class TestFeatureDump:
         version, count, rows, cols = struct.unpack_from("<IQII", listed.read_bytes(), 8)
         assert (version, count, rows, cols) == (1, 3, 6, 4)
 
-    def test_dump_cut_short_is_rejected(self, tmp_path):
-        # the count is written when the stream ends; a stream that dies leaves a zero header
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_stream_leaves_the_target_as_it_was(self, tmp_path, existing):
+        # the dump is renamed into place only when the stream ends
         def failing():
             yield FeatureMatrix(data=np.zeros((4, 3)), valid_len=1)
             raise RuntimeError("featurizer died")
 
         path = tmp_path / "f.bin"
+        if existing:
+            save_features(str(path), [FeatureMatrix(data=np.ones((2, 2)), valid_len=2)])
+        before = path.read_bytes() if existing else None
         with pytest.raises(RuntimeError):
             save_features(str(path), failing())
-        with pytest.raises(ModelFileError, match="52 trailing bytes"):
-            load_features(str(path))
+        assert (path.read_bytes() if existing else None) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["f.bin"] if existing else [])
 
     def test_valid_len_beyond_columns_rejected(self, tmp_path):
         path = tmp_path / "f.bin"
@@ -290,6 +294,29 @@ def _loads_or_rejects(name, path, blob, case):
         pass
     except Exception as exc:  # anything else would reach the user as a stray error
         pytest.fail(f"{name}, {case}: {type(exc).__name__}: {exc}")
+
+
+class TestMappedReads:
+    def test_cache_table_and_dump_matrices_are_read_only_views(self, containers):
+        views = [load_cache(str(containers / "cache.bin")).table]
+        views += [m.data for m in load_features(str(containers / "features.bin"))]
+        for view in views:
+            assert not view.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                view[...] = 0
+
+    def test_a_loaded_cache_saves_over_its_own_file(self, containers, tmp_path):
+        # the table is a view of the file being replaced; writing in place would truncate it
+        path = tmp_path / "cache.bin"
+        path.write_bytes((containers / "cache.bin").read_bytes())
+        save_cache(load_cache(str(path)), str(path))
+        assert path.read_bytes() == (containers / "cache.bin").read_bytes()
+
+    @pytest.mark.parametrize("name", ["model.bin", "model.q.bin"])
+    def test_model_tensors_own_their_data(self, containers, name):
+        params, _, _ = load_model(str(containers / name))
+        for tensor in params.values():
+            assert tensor.flags.owndata and tensor.flags.writeable and tensor.base is None
 
 
 class TestContainerFuzz:

@@ -49,9 +49,8 @@ class TestLoadVocab:
                      "[UNK]\r\nBring\r\n##ing\r\nd\u00e9j\u00e0"):
             path.write_bytes(text.encode("utf-8"))
             vocab = load_vocab(str(path))
-            assert "digest" not in vocab.__dict__  # loading alone does not compute it
+            assert vocab.digest == Vocabulary.from_units(list(vocab.units)).digest
             assert vocab.digest == expected
-            assert "digest" in vocab.__dict__  # computed once, then kept
         swapped = Vocabulary.from_units(["[UNK]", "##ing", "Bring", "d\u00e9j\u00e0"])
         assert swapped.digest != expected
 
@@ -73,6 +72,23 @@ class TestLoadVocab:
         # joined by line feeds, these two would share one digest
         with pytest.raises(DataError, match="line feed"):
             Vocabulary.from_units(units).digest
+
+    @given(units=st.lists(st.text(st.one_of(st.characters(blacklist_characters="\n\r",
+                                                           blacklist_categories=("Cs",)),
+                                            st.sampled_from("\x85\u2028\u00e9\u8a9e#")),
+                                  min_size=1, max_size=6),
+                          unique=True, max_size=8),
+           ending=st.sampled_from(["\n", "\r\n", "\r"]), final=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_file_loads_as_its_units(self, tmp_path_factory, units, ending, final):
+        # the one-pass load agrees with the checked in-memory build, digest included
+        units = ["[UNK]", *(u for u in units if u != "[UNK]")]
+        path = tmp_path_factory.mktemp("vocab") / "vocab.txt"
+        path.write_bytes((ending.join(units) + (ending if final else "")).encode("utf-8"))
+        loaded, built = load_vocab(str(path)), Vocabulary.from_units(units)
+        assert loaded.units == built.units
+        assert loaded.index == built.index
+        assert loaded.digest == built.digest
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
