@@ -11,6 +11,7 @@ import math
 import mmap
 import os
 import secrets
+import stat
 import struct
 
 import numpy as np
@@ -20,27 +21,16 @@ from .errors import DataError, ModelFileError
 TEMP_SUFFIX = ".hashmixer-tmp"
 
 
-def read_utf8(path: str, what: str) -> tuple[bytes, str]:
-    """The whole file's bytes and their UTF-8 text, with universal newlines.
-
-    ``\\r\\n`` and ``\\r`` read as ``\\n`` in both: the bytes are the text's
-    UTF-8 encoding, with no second encode.
-    """
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-        text = data.decode("utf-8")  # before translating, so an error's position is the file's
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read {what} {path}: {exc}") from exc
-    if "\r" in text:  # a CR byte is never part of a longer UTF-8 sequence
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        text = data.decode("utf-8")
-    return data, text
-
-
 def read_text(path: str, what: str) -> str:
     """The whole UTF-8 file, with universal newlines (``\\r\\n`` and ``\\r`` read as ``\\n``)."""
-    return read_utf8(path, what)[1]
+    try:
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")  # an error's position is the file's
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def read_json(path: str, what: str):
@@ -57,9 +47,10 @@ def replacing(path: str):
 
     The data goes to a temporary file beside ``path`` (named
     ``.<name>.<random><TEMP_SUFFIX>``), renamed over ``path`` only on
-    success. On any exception the temporary file is removed and an existing
-    ``path`` is left untouched, so a process that maps the old file keeps
-    reading the old bytes.
+    success, with the permission bits of the file it replaces. On any
+    exception the temporary file is removed and an existing ``path`` is left
+    untouched, so a process that maps the old file keeps reading the old
+    bytes.
     """
     target = os.path.realpath(path)  # through a symbolic link, as open(path, "wb") writes
     directory, name = os.path.split(target)
@@ -72,6 +63,8 @@ def replacing(path: str):
         with fh:
             yield fh
         try:
+            with contextlib.suppress(FileNotFoundError):  # a new file keeps open()'s mode
+                os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
             os.replace(tmp, target)
         except OSError as exc:
             raise OSError(exc.errno, exc.strerror, path) from exc

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import DataError
-from .files import read_utf8
+from .files import read_text
 
 CONTINUATION_PREFIX = "##"
 DEFAULT_UNK = "[UNK]"
@@ -43,36 +43,33 @@ class Vocabulary:
 
     @classmethod
     def from_units(cls, units: list[str], path: str | None = None) -> "Vocabulary":
+        """Check and index ``units``; an error names the first bad line.
+
+        The index is built in one pass; the per-unit loop runs only when a
+        check fails, to find the line to report.
+        """
+        index = dict(zip(units, range(len(units))))
+        if len(index) == len(units) and "" not in index and DEFAULT_UNK in index:
+            return cls(units=tuple(units), index=index, path=path)
         where = f"vocabulary {path}" if path else "vocabulary"
-        index: dict[str, int] = {}
+        seen: set[str] = set()
         for lineno, unit in enumerate(units, start=1):
             if not unit:
                 raise DataError(f"{where} line {lineno}: empty unit")
-            if unit in index:
+            if unit in seen:
                 raise DataError(f"{where} line {lineno}: duplicate unit {unit!r}")
-            index[unit] = lineno - 1
-        if DEFAULT_UNK not in index:
-            raise DataError(f"{where} is missing the unknown token {DEFAULT_UNK!r}")
-        return cls(units=tuple(units), index=index, path=path)
+            seen.add(unit)
+        raise DataError(f"{where} is missing the unknown token {DEFAULT_UNK!r}")
 
 
 def load_vocab(path: str) -> Vocabulary:
-    """Load a vocabulary file, one unit per line (split on ``\n`` only), preserving order.
-
-    The index is built in one pass; only a file that fails a check goes
-    through :meth:`Vocabulary.from_units`, whose error names the first bad
-    line. The digest is hashed from the bytes read, after newline
-    translation: they are the units joined by ``\n``, plus the final line
-    feed, which ends a line.
-    """
-    data, text = read_utf8(path, "vocabulary file")
-    units = text.removesuffix("\n").split("\n") if text else []
-    index = dict(zip(units, range(len(units))))
-    if len(index) != len(units) or "" in index or DEFAULT_UNK not in index:
-        return Vocabulary.from_units(units, path)  # raises, naming the line
-    vocab = Vocabulary(units=tuple(units), index=index, path=path)
-    # the value the cached ``digest`` property would compute, from bytes already in hand
-    vocab.__dict__["digest"] = hashlib.sha256(data.removesuffix(b"\n")).digest()
+    """Load a vocabulary file, one unit per line (split on ``\n`` only), preserving order."""
+    text = read_text(path, "vocabulary file")
+    joined = text.removesuffix("\n")  # the final line feed ends a line, not a unit
+    vocab = Vocabulary.from_units(joined.split("\n") if text else [], path)
+    # the units were split on line feeds, so ``joined`` is their join: the
+    # value the cached ``digest`` would compute, with no re-join or check
+    vocab.__dict__["digest"] = hashlib.sha256(joined.encode("utf-8")).digest()
     return vocab
 
 

@@ -1,5 +1,6 @@
 import mmap
 import os
+import stat
 import struct
 
 import pytest
@@ -80,6 +81,18 @@ class TestReplacing:
         assert sorted(os.listdir(tmp_path)) == ["plain.bin", "t.bin"]
         # the same permissions as a file that open() creates
         assert target.stat().st_mode == plain.stat().st_mode
+
+    def test_keeps_the_mode_of_the_file_it_replaces(self, tmp_path):
+        target, fresh, plain = tmp_path / "t.bin", tmp_path / "fresh.bin", tmp_path / "plain.bin"
+        target.write_bytes(b"old")
+        target.chmod(0o640)
+        with open(plain, "wb"):
+            pass
+        for path in (target, fresh):
+            with replacing(str(path)) as fh:
+                fh.write(b"new")
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+        assert fresh.stat().st_mode == plain.stat().st_mode  # no file to keep a mode from
 
     def test_writes_through_a_symbolic_link(self, tmp_path):
         real, link = tmp_path / "real.bin", tmp_path / "link.bin"
