@@ -318,10 +318,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+_parser: _Parser | None = None  # built on the first run, reused by every later one
+
+
 def run(argv: list[str]) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:

@@ -10,7 +10,6 @@ import json
 import math
 import mmap
 import os
-import secrets
 import stat
 import struct
 
@@ -54,7 +53,7 @@ def replacing(path: str):
     """
     target = os.path.realpath(path)  # through a symbolic link, as open(path, "wb") writes
     directory, name = os.path.split(target)
-    tmp = os.path.join(directory, f".{name}.{secrets.token_hex(4)}{TEMP_SUFFIX}")
+    tmp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}{TEMP_SUFFIX}")
     try:
         fh = open(tmp, "xb")
     except OSError as exc:  # named after the caller's file, not the temporary one

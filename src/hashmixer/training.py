@@ -1,9 +1,13 @@
 """Masked cross-entropy, Adam, the training loop, and the two metrics.
 
 Training is deterministic given a seed: batches are drawn in a seeded order,
-parameter initialization uses its own counter-based stream, and all updates
-run sequentially. Feature extraction is pure and memoized per distinct token,
-so epochs after the first pay only for the linear algebra. Training,
+parameter initialization uses its own counter-based stream, and a batch of
+two or more examples always runs as the same two halves, their gradients
+added in order. The halves run on two threads with OpenBLAS at one thread
+while they do, or one after the other under ``OPENBLAS_NUM_THREADS=1`` or a
+one-CPU affinity, with byte-identical results either way (see
+:mod:`.parallel`). Feature extraction is pure and memoized per distinct
+token, so epochs after the first pay only for the linear algebra. Training,
 evaluation and prediction feed the model :class:`TokenWindows` (token-table
 rows per window slot), never the dense projected input.
 """
@@ -25,6 +29,7 @@ from .mixer import (
     forward_batch,
     init_params,
 )
+from .parallel import halves, run_halves
 from .projection import FingerprintCache, ProjectionConfig, SequenceFeaturizer, TokenWindows
 from .vocab import Vocabulary
 
@@ -200,16 +205,21 @@ def predict_batches(
 ) -> list[np.ndarray]:
     """Arg-max predictions per example (per position for the token head), in float32."""
     params = {k: p.astype(np.float32, copy=False) for k, p in params.items()}
-    out: list[np.ndarray] = []
-    for lo in range(0, len(data.examples), batch_size):
-        sel = slice(lo, min(lo + batch_size, len(data.examples)))
+
+    def predict(sel: slice) -> np.ndarray:
         logits, _ = forward_batch(_token_windows(featurizer, data, sel), data.valid[sel],
                                   params, cfg)
+        return logits.argmax(axis=1)
+
+    out: list[np.ndarray] = []
+    for lo in range(0, len(data.examples), batch_size):
+        n = min(batch_size, len(data.examples) - lo)
+        pred = np.concatenate(run_halves(predict, [(slice(lo + h.start, lo + h.stop),)
+                                                   for h in halves(n)]))
         if cfg.head == "token":
-            pred = logits.argmax(axis=1)
-            out.extend(pred[i, : data.valid[sel][i]] for i in range(pred.shape[0]))
+            out.extend(pred[i, : data.valid[lo + i]] for i in range(n))
         else:
-            out.extend(logits.argmax(axis=1))
+            out.extend(pred)
     return out
 
 
@@ -257,14 +267,14 @@ def train(
 ) -> TrainResult:
     """Train for the configured epochs and return the best-epoch parameters.
 
-    One epoch = one seeded shuffle of the training set, sequential Adam
-    updates per batch, then a full validation pass. ``log_fn`` receives each
-    epoch's log entry as it is produced. A batch whose loss is NaN or
-    infinite stops training with :class:`DataError` naming the epoch and
-    the batch (both counted from 1); floating-point warnings inside the
-    step are silenced, since that check reports the divergence. Training
-    math runs in float32 (initialization is computed in float64 and cast,
-    so runs with equal seeds stay bit-identical).
+    One epoch = one seeded shuffle of the training set, one Adam update per
+    batch, then a full validation pass. ``log_fn`` receives each epoch's
+    log entry as it is produced. A batch whose loss is NaN or infinite stops
+    training with :class:`DataError` naming the epoch and the batch (both
+    counted from 1); floating-point warnings inside the step are silenced,
+    since that check reports the divergence. Training math runs in float32
+    (initialization is computed in float64 and cast, so runs with equal
+    seeds stay bit-identical).
     """
     if not train_examples or not val_examples:
         raise DataError("training and validation splits must be non-empty")
@@ -291,6 +301,15 @@ def train(
     best_params: ModelParams = {k: p.copy() for k, p in params.items()}
     log: list[dict] = []
 
+    def forward(sel: np.ndarray):
+        with np.errstate(all="ignore"):  # errstate is per thread
+            return forward_batch(_token_windows(featurizer, train_data, sel),
+                                 train_data.valid[sel], params, model_cfg)
+
+    def backward(record, upstream: np.ndarray) -> ModelParams:
+        with np.errstate(all="ignore"):
+            return backward_batch(record, upstream, params, model_cfg)[0]
+
     n = len(train_examples)
     for epoch in range(1, train_cfg.epochs + 1):
         started = time.perf_counter()
@@ -299,15 +318,21 @@ def train(
         weight_sum = 0
         for lo in range(0, n, train_cfg.batch_size):
             batch = order[lo : lo + train_cfg.batch_size]
-            inputs = _token_windows(featurizer, train_data, batch)
             batch_labels = train_data.labels[batch]
+            parts = halves(len(batch))
+            outputs = run_halves(forward, [(batch[h],) for h in parts])
             with np.errstate(all="ignore"):
-                logits, record = forward_batch(inputs, train_data.valid[batch], params, model_cfg)
-                loss, dlogits = cross_entropy_masked(logits, batch_labels, head=head)
+                # one loss over the whole batch, so its mean divides by the batch's count
+                loss, dlogits = cross_entropy_masked(np.concatenate([lg for lg, _ in outputs]),
+                                                     batch_labels, head=head)
                 if not math.isfinite(loss):
                     batch_no = lo // train_cfg.batch_size + 1
                     raise DataError(f"epoch {epoch}, batch {batch_no}: training loss is {loss}")
-                grads, _ = backward_batch(record, dlogits, params, model_cfg)
+                grads, *rest = run_halves(backward, [(record, dlogits[h])
+                                                     for (_, record), h in zip(outputs, parts)])
+                for other in rest:  # the halves' gradients, added in order
+                    for name, g in other.items():
+                        grads[name] += g
                 params, state = adam_step(params, grads, state, train_cfg)
             counted = int((batch_labels != IGNORE_LABEL).sum())
             loss_sum += loss * counted

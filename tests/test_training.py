@@ -1,15 +1,17 @@
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
-from hashmixer.data import synth_examples
+from hashmixer.data import Example, LabelInventory, synth_examples
 from hashmixer.errors import DataError
 from hashmixer.mixer import ModelConfig, backward_batch, forward_batch, init_params
 from hashmixer.hashing import HashFamily
 from hashmixer.projection import ProjectionConfig, SequenceFeaturizer, TokenWindows, build_cache
-from hashmixer import training
+from hashmixer import parallel, training
 from hashmixer.training import (
     IGNORE_LABEL,
     OptimizerState,
@@ -382,6 +384,205 @@ class TestTokenWindowsPath:
         assert [e["train_loss"] for e in a.log] == [e["train_loss"] for e in b.log]
         for name in a.params:
             assert np.array_equal(a.params[name], b.params[name])
+
+
+def _to_cls(examples):
+    """The classification view of the slot task: the label is the first token's tag."""
+    return [Example(tokens=ex.tokens, class_label=ex.slot_labels[0]) for ex in examples]
+
+
+def _workers(monkeypatch, count: int) -> None:
+    """Run the halves on ``count`` workers; two need OpenBLAS's thread-count functions."""
+    if count == 2 and parallel._openblas() is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    monkeypatch.setattr(parallel, "workers", lambda: count)
+
+
+class _FirstStep(Exception):
+    """Raised from a wrapped adam_step once it has seen the first step's gradients."""
+
+
+class TestBatchHalves:
+    """A batch runs as two fixed halves: on one worker or two, the bytes are the same."""
+
+    def test_halves(self):
+        assert parallel.halves(0) == [slice(0, 0)]
+        assert parallel.halves(1) == [slice(0, 1)]
+        assert parallel.halves(2) == [slice(0, 1), slice(1, 2)]
+        assert parallel.halves(5) == [slice(0, 3), slice(3, 5)]
+
+    @pytest.mark.parametrize("head", ["token", "pooled"])
+    def test_seeded_runs_are_byte_identical_on_one_or_two_workers(
+        self, head, small_task, monkeypatch
+    ):
+        task, vocab, proj = small_task
+        train_set, val_set = (task.train, task.val) if head == "token" else (
+            _to_cls(task.train), _to_cls(task.val))
+        tc = TrainConfig(learning_rate=2e-3, batch_size=101, epochs=2, seed=21)
+        threads: set[str] = set()
+
+        def recording(*args, **kwargs):
+            threads.add(threading.current_thread().name)
+            return forward_batch(*args, **kwargs)
+
+        monkeypatch.setattr(training, "forward_batch", recording)
+        results = {}
+        for count in (1, 2):
+            _workers(monkeypatch, count)
+            threads.clear()
+            results[count] = train(train_set, val_set, vocab, proj, tc,
+                                   bottleneck=16, hidden=32, depth=2, head=head)
+            assert len(threads) == count
+        serial, threaded = results[1], results[2]
+        assert serial.log[-1]["train_loss"] == threaded.log[-1]["train_loss"]
+        for name in serial.params:
+            assert serial.params[name].tobytes() == threaded.params[name].tobytes(), name
+
+    @pytest.mark.parametrize("batch_size", [1, 5, 256])
+    @pytest.mark.parametrize("head", ["token", "pooled"])
+    def test_summed_half_gradients_equal_the_whole_batch_gradient(
+        self, batch_size, head, small_task, monkeypatch
+    ):
+        task, vocab, proj = small_task
+        train_set, val_set = (task.train, task.val) if head == "token" else (
+            _to_cls(task.train), _to_cls(task.val))
+        tc = TrainConfig(batch_size=batch_size, epochs=1, seed=8)
+        seen = {}
+
+        def first_step(params, grads, state, cfg):
+            seen["params"] = {k: p.copy() for k, p in params.items()}
+            seen["grads"] = grads
+            raise _FirstStep
+
+        monkeypatch.setattr(training, "adam_step", first_step)
+        with pytest.raises(_FirstStep):
+            train(train_set, val_set, vocab, proj, tc,
+                  bottleneck=16, hidden=32, depth=2, head=head)
+
+        # the same batch through one forward and one backward pass
+        field = "slots" if head == "token" else "label"
+        inventory = LabelInventory.from_examples(train_set, field)
+        featurizer = SequenceFeaturizer(vocab, proj)
+        data = encode_dataset(train_set, featurizer, inventory, head)
+        batch = np.random.default_rng(tc.seed).permutation(len(train_set))[:batch_size]
+        cfg = ModelConfig(input_rows=proj.input_rows, seq_len=proj.max_seq_len, bottleneck=16,
+                          hidden=32, depth=2, head=head, num_labels=len(inventory.labels))
+        windows = TokenWindows(featurizer.table,
+                               featurizer.window_ids(data.ids[batch], data.valid[batch]))
+        logits, record = forward_batch(windows, data.valid[batch], seen["params"], cfg)
+        _, upstream = cross_entropy_masked(logits, data.labels[batch], head=head)
+        whole, _ = backward_batch(record, upstream, seen["params"], cfg)
+
+        assert seen["grads"].keys() == whole.keys()
+        for name, g in whole.items():
+            assert seen["grads"][name].dtype == np.float32
+            scale = max(float(np.abs(g).max()), 1e-30)
+            assert np.abs(seen["grads"][name] - g).max() <= 1e-5 * scale, name
+
+    @pytest.mark.parametrize("head", ["token", "pooled"])
+    @pytest.mark.parametrize("batch_size", [7, 256])
+    def test_predictions_equal_on_one_or_two_workers(
+        self, head, batch_size, small_task, monkeypatch
+    ):
+        task, vocab, proj = small_task
+        val_set = task.val if head == "token" else _to_cls(task.val)
+        inventory = LabelInventory.from_examples(val_set, "slots" if head == "token" else "label")
+        featurizer = SequenceFeaturizer(vocab, proj)
+        data = encode_dataset(val_set, featurizer, inventory, head)
+        cfg = ModelConfig(input_rows=proj.input_rows, seq_len=proj.max_seq_len, bottleneck=16,
+                          hidden=32, depth=2, head=head, num_labels=len(inventory.labels))
+        params = init_params(cfg, seed=6)
+        preds = {}
+        for count in (1, 2):
+            _workers(monkeypatch, count)
+            preds[count] = training.predict_batches(data, featurizer, params, cfg,
+                                                    batch_size=batch_size)
+        assert len(preds[1]) == len(preds[2]) == len(val_set)
+        for a, b in zip(preds[1], preds[2]):
+            assert np.array_equal(a, b)
+
+    def test_blas_thread_count_is_restored_after_a_step(self, small_task, monkeypatch):
+        blas = parallel._openblas()
+        if blas is None:
+            pytest.skip("numpy's BLAS is not OpenBLAS")
+        get, _ = blas
+        task, vocab, proj = small_task
+        _workers(monkeypatch, 2)
+        during = []
+
+        def recording(*args, **kwargs):
+            during.append(get())
+            return forward_batch(*args, **kwargs)
+
+        monkeypatch.setattr(training, "forward_batch", recording)
+        before = get()
+        train(task.train[:40], task.val[:10], vocab, proj, TrainConfig(batch_size=40, epochs=1),
+              bottleneck=8, hidden=8, depth=1, head="token")
+        assert get() == before
+        assert set(during) == {1}  # every half, training's and validation's, at one thread
+
+    def test_error_in_the_worker_half_reaches_the_caller(self, small_task, monkeypatch):
+        task, vocab, proj = small_task
+        _workers(monkeypatch, 2)
+        get = parallel._openblas()[0]
+        val_set = _to_cls(task.val[:6])
+        inventory = LabelInventory.from_examples(val_set, "label")
+        featurizer = SequenceFeaturizer(vocab, proj)
+        data = encode_dataset(val_set, featurizer, inventory, "pooled")
+        data.valid[4] = 0  # an empty example in the second half
+        cfg = ModelConfig(input_rows=proj.input_rows, seq_len=proj.max_seq_len, bottleneck=8,
+                          hidden=8, depth=1, head="pooled", num_labels=len(inventory.labels))
+        failing = []
+
+        def recording(inputs, valid, *args):
+            if np.any(valid < 1):
+                failing.append(threading.current_thread().name)
+            return forward_batch(inputs, valid, *args)
+
+        monkeypatch.setattr(training, "forward_batch", recording)
+        before = get()
+        with pytest.raises(ValueError, match="at least one valid position"):
+            training.predict_batches(data, featurizer, init_params(cfg, seed=0), cfg)
+        assert failing and failing[0] != threading.current_thread().name
+        assert get() == before
+
+
+    def test_concurrent_callers_leave_the_blas_thread_count_as_it_was(self, monkeypatch):
+        blas = parallel._openblas()
+        if blas is None:
+            pytest.skip("numpy's BLAS is not OpenBLAS")
+        get, _ = blas
+        _workers(monkeypatch, 2)
+        before = get()
+        matrix = np.random.default_rng(0).normal(size=(64, 64)).astype(np.float32)
+        expected = [matrix[h] @ matrix for h in parallel.halves(64)]
+        results, failures = [], []
+
+        def caller():
+            try:
+                for _ in range(50):
+                    results.append(parallel.run_halves(lambda h: matrix[h] @ matrix,
+                                                       [(h,) for h in parallel.halves(64)]))
+            except BaseException as exc:  # reported by the assertion below
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not failures
+        assert len(results) == 200
+        for got in results:
+            assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+        # without the lock, one caller could save another's 1 and restore it last
+        assert get() == before
 
 
 class TestTrainConfig:
