@@ -16,6 +16,8 @@ import threading
 _lock = threading.Lock()  # held over set-and-restore of the BLAS thread count
 _openblas_functions: tuple | None = None  # (get, set), or () when not found; looked up once
 _pool = None  # the one worker thread, started on first use
+_malloc_trim = None  # glibc's, looked up when the worker starts
+_worker_ran = False  # a half ran on the worker since its memory was last released
 
 
 def _openblas():
@@ -66,12 +68,18 @@ def run_halves(fn, args: list[tuple]) -> list:
     """
     if len(args) < 2 or workers() < 2:
         return [fn(*a) for a in args]
-    global _pool
+    global _pool, _malloc_trim, _worker_ran
     get, set_ = _openblas()
     with _lock:
         if _pool is None:
+            import ctypes
             from concurrent.futures import ThreadPoolExecutor
+            libc = ctypes.CDLL(None) if os.name == "posix" else None
+            _malloc_trim = getattr(libc, "malloc_trim", None)
+            if _malloc_trim is not None:
+                _malloc_trim.restype, _malloc_trim.argtypes = ctypes.c_int, [ctypes.c_size_t]
             _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="hashmixer-half")
+        _worker_ran = True
         threads = get()
         set_(1)
         try:
@@ -83,3 +91,19 @@ def run_halves(fn, args: list[tuple]) -> list:
             return [first, second.result()]
         finally:
             set_(threads)
+
+
+def release_memory() -> None:
+    """Give back the memory the worker's halves freed, if a half ran there since the last call.
+
+    glibc keeps freed memory in each thread's own malloc arena, up to a trim
+    threshold that grows to 64 MB with large arrays, and only that thread
+    reuses it; without this, the worker's share of a batch stays resident
+    while the caller goes on to other work. ``malloc_trim`` is glibc's;
+    elsewhere this does nothing.
+    """
+    global _worker_ran
+    with _lock:
+        if _worker_ran and _malloc_trim is not None:
+            _malloc_trim(0)
+        _worker_ran = False

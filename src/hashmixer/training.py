@@ -29,7 +29,7 @@ from .mixer import (
     forward_batch,
     init_params,
 )
-from .parallel import halves, run_halves
+from .parallel import halves, release_memory, run_halves
 from .projection import FingerprintCache, ProjectionConfig, SequenceFeaturizer, TokenWindows
 from .vocab import Vocabulary
 
@@ -220,6 +220,7 @@ def predict_batches(
             out.extend(pred[i, : data.valid[lo + i]] for i in range(n))
         else:
             out.extend(pred)
+    release_memory()  # also after train(), whose epochs each end with this validation pass
     return out
 
 

@@ -547,6 +547,26 @@ class TestBatchHalves:
         assert get() == before
 
 
+    def test_worker_memory_is_released_once_after_a_pass_that_used_it(
+        self, small_task, monkeypatch
+    ):
+        task, vocab, proj = small_task
+        _workers(monkeypatch, 2)
+        inventory = LabelInventory.from_examples(task.val, "slots")
+        featurizer = SequenceFeaturizer(vocab, proj)
+        data = encode_dataset(task.val, featurizer, inventory, "token")
+        one = encode_dataset(task.val[:1], featurizer, inventory, "token")
+        cfg = ModelConfig(input_rows=proj.input_rows, seq_len=proj.max_seq_len, bottleneck=8,
+                          hidden=8, depth=1, head="token", num_labels=len(inventory.labels))
+        params = init_params(cfg, seed=0)
+        training.predict_batches(data, featurizer, params, cfg)  # starts the worker
+        trims = []
+        monkeypatch.setattr(parallel, "_malloc_trim", lambda pad: trims.append(pad) or 0)
+        training.predict_batches(data, featurizer, params, cfg, batch_size=7)
+        assert trims == [0]  # once for the pass, not once per batch
+        training.predict_batches(one, featurizer, params, cfg)  # a batch of one stays on the caller
+        assert trims == [0]
+
     def test_concurrent_callers_leave_the_blas_thread_count_as_it_was(self, monkeypatch):
         blas = parallel._openblas()
         if blas is None:
