@@ -177,6 +177,11 @@ def small_task():
     return task, vocab, proj
 
 
+def _to_cls(examples):
+    """The classification view of the slot task: the label is the first token's tag."""
+    return [Example(tokens=ex.tokens, class_label=ex.slot_labels[0]) for ex in examples]
+
+
 class TestTrainLoop:
     def test_loss_decreases_and_learns(self, small_task):
         task, vocab, proj = small_task
@@ -321,13 +326,8 @@ class TestTrainLoop:
 
     def test_pooled_head_trains_on_classification(self, small_task):
         task, vocab, proj = small_task
-        from hashmixer.data import Example
-        # classification view: label = tag of the first token
-        def to_cls(examples):
-            return [Example(tokens=ex.tokens, class_label=ex.slot_labels[0])
-                    for ex in examples]
         tc = TrainConfig(learning_rate=3e-3, batch_size=64, epochs=10, seed=4)
-        result = train(to_cls(task.train), to_cls(task.val), vocab, proj, tc,
+        result = train(_to_cls(task.train), _to_cls(task.val), vocab, proj, tc,
                        bottleneck=32, hidden=64, depth=1, head="pooled")
         assert result.best_metric > 0.9
         assert result.model_cfg.head == "pooled"
@@ -369,26 +369,15 @@ class TestTokenWindowsPath:
 
     def test_seeded_pooled_window_runs_are_bit_identical(self, small_task):
         task, vocab, _ = small_task
-        from hashmixer.data import Example
-
-        def to_cls(examples):
-            return [Example(tokens=ex.tokens, class_label=ex.slot_labels[0])
-                    for ex in examples]
-
         proj = ProjectionConfig(kind="minhash", n_hashes=32, feature_size=64,
                                 window=1, max_seq_len=6)
         tc = TrainConfig(learning_rate=3e-3, batch_size=64, epochs=2, seed=11)
         kwargs = dict(bottleneck=16, hidden=16, depth=1, head="pooled")
-        a = train(to_cls(task.train), to_cls(task.val), vocab, proj, tc, **kwargs)
-        b = train(to_cls(task.train), to_cls(task.val), vocab, proj, tc, **kwargs)
+        a = train(_to_cls(task.train), _to_cls(task.val), vocab, proj, tc, **kwargs)
+        b = train(_to_cls(task.train), _to_cls(task.val), vocab, proj, tc, **kwargs)
         assert [e["train_loss"] for e in a.log] == [e["train_loss"] for e in b.log]
         for name in a.params:
             assert np.array_equal(a.params[name], b.params[name])
-
-
-def _to_cls(examples):
-    """The classification view of the slot task: the label is the first token's tag."""
-    return [Example(tokens=ex.tokens, class_label=ex.slot_labels[0]) for ex in examples]
 
 
 def _workers(monkeypatch, count: int) -> None:
@@ -396,6 +385,20 @@ def _workers(monkeypatch, count: int) -> None:
     if count == 2 and parallel._openblas() is None:
         pytest.skip("numpy's BLAS is not OpenBLAS")
     monkeypatch.setattr(parallel, "workers", lambda: count)
+
+
+@pytest.fixture
+def blas_at_two(monkeypatch):
+    """OpenBLAS's thread-count getter, with the count set to 2 and two workers for the test."""
+    blas = parallel._openblas()
+    if blas is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    get, set_ = blas
+    original = get()
+    set_(2)
+    _workers(monkeypatch, 2)
+    yield get
+    set_(original)
 
 
 class _FirstStep(Exception):
@@ -501,13 +504,11 @@ class TestBatchHalves:
         for a, b in zip(preds[1], preds[2]):
             assert np.array_equal(a, b)
 
-    def test_blas_thread_count_is_restored_after_a_step(self, small_task, monkeypatch):
-        blas = parallel._openblas()
-        if blas is None:
-            pytest.skip("numpy's BLAS is not OpenBLAS")
-        get, _ = blas
+    def test_blas_thread_count_is_restored_after_a_step(
+        self, small_task, monkeypatch, blas_at_two
+    ):
+        get = blas_at_two
         task, vocab, proj = small_task
-        _workers(monkeypatch, 2)
         during = []
 
         def recording(*args, **kwargs):
@@ -515,16 +516,15 @@ class TestBatchHalves:
             return forward_batch(*args, **kwargs)
 
         monkeypatch.setattr(training, "forward_batch", recording)
-        before = get()
         train(task.train[:40], task.val[:10], vocab, proj, TrainConfig(batch_size=40, epochs=1),
               bottleneck=8, hidden=8, depth=1, head="token")
-        assert get() == before
+        assert get() == 2
         assert set(during) == {1}  # every half, training's and validation's, at one thread
 
-    def test_error_in_the_worker_half_reaches_the_caller(self, small_task, monkeypatch):
+    def test_error_in_the_worker_half_reaches_the_caller(
+        self, small_task, monkeypatch, blas_at_two
+    ):
         task, vocab, proj = small_task
-        _workers(monkeypatch, 2)
-        get = parallel._openblas()[0]
         val_set = _to_cls(task.val[:6])
         inventory = LabelInventory.from_examples(val_set, "label")
         featurizer = SequenceFeaturizer(vocab, proj)
@@ -540,11 +540,10 @@ class TestBatchHalves:
             return forward_batch(inputs, valid, *args)
 
         monkeypatch.setattr(training, "forward_batch", recording)
-        before = get()
         with pytest.raises(ValueError, match="at least one valid position"):
             training.predict_batches(data, featurizer, init_params(cfg, seed=0), cfg)
         assert failing and failing[0] != threading.current_thread().name
-        assert get() == before
+        assert blas_at_two() == 2
 
 
     def test_worker_memory_is_released_once_after_a_pass_that_used_it(
@@ -567,13 +566,7 @@ class TestBatchHalves:
         training.predict_batches(one, featurizer, params, cfg)  # a batch of one stays on the caller
         assert trims == [0]
 
-    def test_concurrent_callers_leave_the_blas_thread_count_as_it_was(self, monkeypatch):
-        blas = parallel._openblas()
-        if blas is None:
-            pytest.skip("numpy's BLAS is not OpenBLAS")
-        get, _ = blas
-        _workers(monkeypatch, 2)
-        before = get()
+    def test_concurrent_callers_leave_the_blas_thread_count_as_it_was(self, blas_at_two):
         matrix = np.random.default_rng(0).normal(size=(64, 64)).astype(np.float32)
         expected = [matrix[h] @ matrix for h in parallel.halves(64)]
         results, failures = [], []
@@ -602,7 +595,7 @@ class TestBatchHalves:
         for got in results:
             assert all(np.array_equal(a, b) for a, b in zip(got, expected))
         # without the lock, one caller could save another's 1 and restore it last
-        assert get() == before
+        assert blas_at_two() == 2
 
 
 class TestTrainConfig:
