@@ -16,8 +16,8 @@ GEMMs; the transposition back is folded into the residual add, and backward
 rebuilds the copy from the cached normalized rows instead of keeping it
 alive between the passes. Logits keep
 the ``(N, labels, s)`` layout, and :class:`ActivationRecord`'s
-``bottleneck_out``/``mixer_out`` keep their ``(N, b, s)`` shapes as
-transposed views of the stream.
+``mixer_out`` keeps its ``(N, b, s)`` shape as a transposed view of the
+stream.
 
 The input comes in two forms. Training and inference pass
 :class:`~hashmixer.projection.TokenWindows`, the token-table row of every
@@ -47,7 +47,7 @@ casts any model's weights), float64 in the gradient checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -262,15 +262,13 @@ class ActivationRecord:
 
     ``inputs`` is the dense input tensor, or for token input the pair
     ``(rows, inverse)``: the batch's distinct table rows and, per window
-    slot, each position's index into them. ``bottleneck_out`` and
-    ``mixer_out`` are ``(N, b, s)`` views of the tokens-major stream.
+    slot, each position's index into them. ``mixer_out`` is an ``(N, b, s)``
+    view of the tokens-major stream.
     """
 
     inputs: np.ndarray | tuple[np.ndarray, np.ndarray]
-    valid_lens: np.ndarray
-    bottleneck_out: np.ndarray
     mixer_out: np.ndarray
-    layers: list[_LayerCache] = field(default_factory=list)
+    layers: list[_LayerCache]
     alpha: np.ndarray | None = None
     pooled: np.ndarray | None = None
 
@@ -357,10 +355,7 @@ def forward_batch(
         x += params["bottleneck.bias"]
         saved = inputs
     s, b = cfg.seq_len, cfg.bottleneck
-    bottleneck_out = _channels_first(x, n)
-    record = ActivationRecord(inputs=saved, valid_lens=np.asarray(valid_lens),
-                              bottleneck_out=bottleneck_out, mixer_out=bottleneck_out)
-
+    layers: list[_LayerCache] = []
     for k in range(cfg.depth):
         prefix = f"mixer.{k}"
         # token-mixing branch on the (N*b, s) transpose of ln1(x)
@@ -389,20 +384,20 @@ def forward_batch(
         y += params[f"{prefix}.channel_mlp.b2"]
         y += u
 
-        record.layers.append(
+        layers.append(
             _LayerCache(xhat1=xhat1, inv_std1=inv_std1, h1=h1, cdf1=cdf1, g1=g1,
                         xhat2=xhat2, inv_std2=inv_std2, h2=h2, cdf2=cdf2, g2=g2)
         )
         x = y
 
-    record.mixer_out = _channels_first(x, n)
+    record = ActivationRecord(inputs=saved, mixer_out=_channels_first(x, n), layers=layers)
 
     if cfg.head == "token":
         logits = x @ params["head.weight"].T
         logits += params["head.bias"]
         return _channels_first(logits, n), record
 
-    valid = record.valid_lens
+    valid = np.asarray(valid_lens)
     if np.any(valid < 1):
         raise ValueError("pooled head needs at least one valid position per example")
     x3 = x.reshape(n, s, b)

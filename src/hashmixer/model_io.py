@@ -138,7 +138,7 @@ def load_model(path: str) -> tuple[ModelParams, ModelConfig, bool]:
             (scale,) = reader.unpack("<f")
             values = reader.array(np.int8, shape)
             try:
-                q = QuantTensor(values=values, scale=scale, shape=shape)
+                q = QuantTensor(values=values, scale=scale)
             except ValueError as exc:
                 raise ModelFileError(f"{path}: tensor {name}: {exc}") from exc
             params[name] = dequantize(q)

@@ -84,8 +84,8 @@ class ProjectionConfig:
 class FingerprintCache:
     """Per-vocabulary-unit fingerprints, row-aligned with the vocabulary.
 
-    ``width`` 64 stores raw fingerprints; 32 stores the low halves, applied
-    identically at build and lookup so cached and direct paths agree.
+    ``width`` 64 stores raw fingerprints; 32 stores the low halves, which
+    count as the full values do only at a ``feature_size`` dividing 2^32.
     ``vocab_digest`` is the :attr:`Vocabulary.digest` of its vocabulary; ``path`` its file, if any.
     """
 
@@ -255,8 +255,9 @@ class SequenceFeaturizer:
     Token features live in one float32 table that grows by doubling; row 0
     is reserved as the zero (padding) feature. Counting, bitmap and ternary
     features are small integers, so float32 holds them exactly. A minhash
-    featurizer rejects a cache of another vocabulary or hash count
-    (:class:`DataError`) and builds its own without one; other kinds ignore it.
+    featurizer rejects a cache of another vocabulary or hash count, or a
+    32-bit one at a ``feature_size`` that does not divide 2^32
+    (:class:`DataError`), and builds its own without one; other kinds ignore it.
     """
 
     _INITIAL_ROWS = 256
@@ -280,6 +281,9 @@ class SequenceFeaturizer:
         elif cache.vocab_size != len(vocab) or cache.vocab_digest != vocab.digest:
             raise DataError(f"{cache.path or 'the fingerprint cache'} was not built from "
                             f"the vocabulary {vocab.path or 'given'}")
+        elif cache.width == 32 and 2**32 % cfg.feature_size:
+            raise DataError(f"{cache.path or 'the fingerprint cache'} holds 32-bit fingerprints, "
+                            f"and feature_size {cfg.feature_size} does not divide 2^32")
         self.cache = cache
         self._table = np.zeros((self._INITIAL_ROWS, cfg.token_feature_len), dtype=np.float32)
         self._ids: dict[str, int] = {}

@@ -24,13 +24,16 @@ from .mixer import ModelParams
 class QuantTensor:
     values: np.ndarray
     scale: float
-    shape: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.scale) and self.scale > 0):
             raise ValueError(f"quantization scale must be finite and positive, got {self.scale}")
         if self.values.dtype != np.int8:
             raise ValueError("quantized values must be int8")
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.values.shape
 
 
 def _round_half_away(x: np.ndarray) -> np.ndarray:
@@ -49,11 +52,9 @@ def quantize_tensor(w: np.ndarray) -> QuantTensor:
     peak = float(np.abs(w).max()) if w.size else 0.0
     scale = peak / 127.0
     if np.float32(scale) == 0.0:
-        return QuantTensor(
-            values=np.zeros(w.shape, dtype=np.int8), scale=1.0, shape=w.shape
-        )
+        return QuantTensor(values=np.zeros(w.shape, dtype=np.int8), scale=1.0)
     values = np.clip(_round_half_away(w / scale), -127, 127).astype(np.int8)
-    return QuantTensor(values=values, scale=scale, shape=w.shape)
+    return QuantTensor(values=values, scale=scale)
 
 
 def dequantize(q: QuantTensor) -> np.ndarray:

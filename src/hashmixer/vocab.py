@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import unicodedata
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .errors import DataError
 from .files import read_text
@@ -25,6 +24,7 @@ class Vocabulary:
 
     units: tuple[str, ...]
     index: dict[str, int]
+    digest: bytes  # SHA-256 of the units joined by "\n" in UTF-8: the identity a cache records
     path: str | None = field(default=None, compare=False)
 
     def __len__(self) -> int:
@@ -33,44 +33,45 @@ class Vocabulary:
     def __contains__(self, unit: str) -> bool:
         return unit in self.index
 
-    @cached_property
-    def digest(self) -> bytes:
-        """SHA-256 of the units joined by ``\n`` in UTF-8: the identity a cache records."""
-        text = "\n".join(self.units)
-        if text.count("\n") > len(self.units) - 1:  # the join could not be split back
-            raise DataError("a vocabulary unit holds a line feed, so the vocabulary has no digest")
-        return hashlib.sha256(text.encode("utf-8")).digest()
-
     @classmethod
-    def from_units(cls, units: list[str], path: str | None = None) -> "Vocabulary":
-        """Check and index ``units``; an error names the first bad line.
+    def from_units(cls, units: list[str]) -> "Vocabulary":
+        """Check, index and digest ``units``; an error names the first bad line."""
+        joined = "\n".join(units)
+        if joined.count("\n") > len(units) - 1:  # the join could not be split back
+            raise DataError("a vocabulary unit holds a line feed, so the vocabulary has no digest")
+        return _indexed(units, joined, None)
 
-        The index is built in one pass; the per-unit loop runs only when a
-        check fails, to find the line to report.
-        """
-        index = dict(zip(units, range(len(units))))
-        if len(index) == len(units) and "" not in index and DEFAULT_UNK in index:
-            return cls(units=tuple(units), index=index, path=path)
-        where = f"vocabulary {path}" if path else "vocabulary"
-        seen: set[str] = set()
-        for lineno, unit in enumerate(units, start=1):
-            if not unit:
-                raise DataError(f"{where} line {lineno}: empty unit")
-            if unit in seen:
-                raise DataError(f"{where} line {lineno}: duplicate unit {unit!r}")
-            seen.add(unit)
-        raise DataError(f"{where} is missing the unknown token {DEFAULT_UNK!r}")
+
+def _indexed(units: list[str], joined: str, path: str | None) -> Vocabulary:
+    """Check and index ``units``, whose join by ``\n`` is ``joined``, and hash their digest.
+
+    The index is built in one pass; the per-unit loop runs only when a
+    check fails, to find the line to report.
+    """
+    index = dict(zip(units, range(len(units))))
+    if len(index) == len(units) and "" not in index and DEFAULT_UNK in index:
+        digest = hashlib.sha256(joined.encode("utf-8")).digest()
+        return Vocabulary(units=tuple(units), index=index, digest=digest, path=path)
+    where = f"vocabulary {path}" if path else "vocabulary"
+    seen: set[str] = set()
+    for lineno, unit in enumerate(units, start=1):
+        if not unit:
+            raise DataError(f"{where} line {lineno}: empty unit")
+        if unit in seen:
+            raise DataError(f"{where} line {lineno}: duplicate unit {unit!r}")
+        seen.add(unit)
+    raise DataError(f"{where} is missing the unknown token {DEFAULT_UNK!r}")
 
 
 def load_vocab(path: str) -> Vocabulary:
-    """Load a vocabulary file, one unit per line (split on ``\n`` only), preserving order."""
+    """Load a vocabulary file, one unit per line (split on ``\n`` only), preserving order.
+
+    The digest is hashed from the text read: without its final line feed it
+    is the units' join, so the units are not joined again.
+    """
     text = read_text(path, "vocabulary file")
     joined = text.removesuffix("\n")  # the final line feed ends a line, not a unit
-    vocab = Vocabulary.from_units(joined.split("\n") if text else [], path)
-    # the units were split on line feeds, so ``joined`` is their join: the
-    # value the cached ``digest`` would compute, with no re-join or check
-    vocab.__dict__["digest"] = hashlib.sha256(joined.encode("utf-8")).digest()
-    return vocab
+    return _indexed(joined.split("\n") if text else [], joined, path)
 
 
 def save_vocab(units: list[str], path: str) -> None:

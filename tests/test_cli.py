@@ -145,11 +145,6 @@ class TestParams:
         count = int(capsys.readouterr().out.strip())
         assert abs(count - 1_200_000) / 1_200_000 < 0.10
 
-    def test_check_init_cross_validates(self, capsys):
-        assert run(["params", "--preset", "x-small", "--check-init"]) == 0
-        count = int(capsys.readouterr().out.strip())
-        assert abs(count - 200_000) / 200_000 < 0.10
-
     def test_label_count_from_flag_else_config_else_78(self, trained, workspace, capsys):
         echo = os.path.join(trained, "config.json")
         model_cfg = build_run_config(path=echo).model_config()
@@ -534,6 +529,44 @@ class TestExitCodes:
                 self._exits_2_naming(capsys, argv + ["--config", str(path)], cache)
             else:  # the cache of the config's own vocabulary loads
                 assert run(argv + ["--config", str(path)]) == 0
+
+    def test_32_bit_cache_at_a_feature_size_not_dividing_2_to_the_32_is_data_error(
+            self, trained, workspace, tmp_path, capsys):
+        # the low half of a fingerprint modulo 1000 is not the full value modulo 1000
+        config = json.load(open(workspace["config"], encoding="utf-8"))
+        config["projection"]["feature_size"] = 1000
+        _, model_cfg, _ = load_model(os.path.join(trained, "model.bin"))
+        model_cfg = dataclasses.replace(model_cfg, input_rows=1000)
+        model = str(tmp_path / "model.bin")
+        save_model(model, init_params(model_cfg, seed=0), model_cfg)
+        argv = ["eval", "--model", model, "--data", workspace["paths"]["val"],
+                "--labels", os.path.join(trained, "labels.json"), "--quiet"]
+        for width, code in (("32", 2), ("64", 0)):
+            cache = tmp_path / f"cache{width}.bin"
+            assert run(["build-cache", "--vocab", workspace["paths"]["vocab"], "--hashes", "32",
+                        "--width", width, "-o", str(cache), "--quiet"]) == 0
+            config["paths"]["cache"] = str(cache)
+            path = tmp_path / f"cached{width}.json"
+            path.write_text(json.dumps(config), encoding="utf-8")
+            if code == 2:
+                self._exits_2_naming(capsys, argv + ["--config", str(path)], cache,
+                                     "feature_size 1000")
+            else:
+                assert run(argv + ["--config", str(path)]) == 0
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_labels_file_listing_a_label_twice_is_data_error(self, trained, workspace,
+                                                             tmp_path, capsys, command):
+        # same size as the model's inventory, last label replaced by a copy of the first
+        labels = json.load(open(os.path.join(trained, "labels.json"), encoding="utf-8"))
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps(labels[:-1] + labels[:1]), encoding="utf-8")
+        argv = {"eval": ["eval", "--data", workspace["paths"]["val"]],
+                "predict": ["predict", "--text", "a b"]}[command]
+        self._exits_2_naming(capsys, argv + ["--model", os.path.join(trained, "model.bin"),
+                                             "--config", workspace["config"],
+                                             "--labels", str(path), "--quiet"],
+                             path, repr(labels[0]), "more than once")
 
     @staticmethod
     def _write_config(workspace, tmp_path, name, **paths):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hashmixer.config import build_run_config
 from hashmixer.mixer import (
     ERF_BLOCK,
     ModelConfig,
@@ -89,8 +90,8 @@ class TestConfigAndParams:
 
     def test_count_matches_initialized_sizes(self):
         rng = np.random.default_rng(99)
-        for _ in range(20):
-            cfg = ModelConfig(
+        random_cfgs = [
+            ModelConfig(
                 input_rows=int(rng.integers(1, 40)),
                 seq_len=int(rng.integers(1, 20)),
                 bottleneck=int(rng.integers(1, 30)),
@@ -99,6 +100,10 @@ class TestConfigAndParams:
                 head=rng.choice(["token", "pooled"]),
                 num_labels=int(rng.integers(1, 50)),
             )
+            for _ in range(20)
+        ]
+        x_small = build_run_config(preset="x-small").model_config(num_labels=78)
+        for cfg in [*random_cfgs, x_small]:
             params = init_params(cfg, seed=1)
             assert count_parameters(cfg) == sum(p.size for p in params.values())
             assert set(params) == set(param_shapes(cfg))
@@ -238,7 +243,8 @@ class TestForward:
         params = init_params(cfg, seed=0)
         matrix = FeatureMatrix(data=np.zeros((3072, 64)), valid_len=10)
         logits, record = forward(matrix, params, cfg)
-        assert record.bottleneck_out.shape == (1, 256, 64)
+        bottleneck = params["bottleneck.weight"] @ matrix.data + params["bottleneck.bias"][:, None]
+        assert bottleneck.shape == (256, 64)
         assert record.mixer_out.shape == (1, 256, 64)
         assert logits.shape == (78, 64)
 
@@ -283,7 +289,8 @@ class TestForward:
                 params[name] = np.zeros_like(params[name])
         data = rng.normal(size=(12, 6))
         _, record = forward(FeatureMatrix(data=data, valid_len=6), params, cfg)
-        assert np.allclose(record.mixer_out, record.bottleneck_out, atol=1e-12)
+        bottleneck = params["bottleneck.weight"] @ data + params["bottleneck.bias"][:, None]
+        assert np.allclose(record.mixer_out[0], bottleneck, atol=1e-12)
 
     def test_mixer_output_shape_equals_bottleneck(self, rng):
         for depth in (0, 1, 2):
@@ -291,7 +298,8 @@ class TestForward:
             params = init_params(cfg, seed=1)
             data = rng.normal(size=(2, 12, 6))
             _, record = forward_batch(data, np.array([6, 3]), params, cfg)
-            assert record.mixer_out.shape == record.bottleneck_out.shape == (2, 8, 6)
+            bottleneck = params["bottleneck.weight"] @ data + params["bottleneck.bias"][:, None]
+            assert record.mixer_out.shape == bottleneck.shape == (2, 8, 6)
 
     def test_shape_mismatch_rejected(self):
         cfg = small_cfg()

@@ -448,6 +448,20 @@ class TestFeaturizerCacheCheck:
         self._rejects(load_vocab(str(vocab_path)), load_cache(str(cache_path)), self.CFG,
                       str(cache_path), str(vocab_path))
 
+    def test_32_bit_cache_needs_a_feature_size_dividing_2_to_the_32(self, tiny_vocab):
+        family = HashFamily(16)
+        wide, narrow = build_cache(tiny_vocab, family), build_cache(tiny_vocab, family, width=32)
+        cfg = ProjectionConfig(n_hashes=16, feature_size=1024, window=1, max_seq_len=8)
+        tokens = ["Bring", "the", "it", "at", "a", "b", "zzz"]  # one vocabulary unit each
+        assert np.array_equal(_featurize(tokens, tiny_vocab, narrow, cfg)[0],
+                              _featurize(tokens, tiny_vocab, wide, cfg)[0])
+        row = [tiny_vocab.index["Bring"]]
+        assert not np.array_equal(counting_feature(token_fingerprint(row, narrow), 1000),
+                                  counting_feature(token_fingerprint(row, wide), 1000))
+        at_1000 = dataclasses.replace(cfg, feature_size=1000)
+        self._rejects(tiny_vocab, narrow, at_1000, "32-bit", "feature_size 1000")
+        assert SequenceFeaturizer(tiny_vocab, at_1000, cache=wide).cache is wide
+
     @pytest.mark.parametrize("kind", ["binary", "tsp", "simhash"])
     def test_other_kinds_ignore_any_cache(self, tiny_vocab, kind):
         cfg = dataclasses.replace(self.CFG, kind=kind, simhash_bits=16)

@@ -66,9 +66,9 @@ class TestQuantizeTensor:
     def test_validation(self):
         for scale in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(ValueError):
-                QuantTensor(values=np.zeros(3, dtype=np.int8), scale=scale, shape=(3,))
+                QuantTensor(values=np.zeros(3, dtype=np.int8), scale=scale)
         with pytest.raises(ValueError):
-            QuantTensor(values=np.zeros(3, dtype=np.int16), scale=1.0, shape=(3,))
+            QuantTensor(values=np.zeros(3, dtype=np.int16), scale=1.0)
 
 
 def test_quantize_params_preserves_names_and_shapes(rng):
