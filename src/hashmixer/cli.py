@@ -12,8 +12,10 @@ Subcommands:
     import-mtop       normalize a flat slot-tagging TSV into dataset JSONL
     import-multiatis  normalize an utterance/intent TSV into dataset JSONL
 
-Exit codes: 0 success, 1 usage error, 2 data or model-file error. Progress
-and results go to stdout as JSON lines unless --quiet is given.
+Exit codes: 0 success, 1 usage error, 2 data or model-file error. Output goes
+to stdout. --quiet silences the JSON lines of build-cache, project, train
+(progress and result) and quantize; eval, predict, params and the importers
+print their one result line with or without it.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ A file that cannot be read, decoded or parsed is a DataError naming it.
 from __future__ import annotations
 
 import contextlib
+import errno
 import json
 import math
 import mmap
@@ -33,9 +34,13 @@ def read_text(path: str, what: str) -> str:
 
 
 def read_json(path: str, what: str):
-    """The file's text parsed as one JSON document."""
+    """The file's text parsed as one JSON document; the non-JSON ``NaN``/``Infinity`` fail."""
+
+    def refuse(literal: str):
+        raise DataError(f"{path}: invalid JSON: {literal} is not a JSON value")
+
     try:
-        return json.loads(read_text(path, what))
+        return json.loads(read_text(path, what), parse_constant=refuse)
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON: {exc}") from exc
 
@@ -46,12 +51,25 @@ def replacing(path: str):
 
     The data goes to a temporary file beside ``path`` (named
     ``.<name>.<random><TEMP_SUFFIX>``), renamed over ``path`` only on
-    success, with the permission bits of the file it replaces. On any
+    success, with the permission bits of the file it replaces. An existing
+    ``path`` that is not a regular file (a directory, a FIFO, a device) is
+    refused before anything is written. On any
     exception the temporary file is removed and an existing ``path`` is left
     untouched, so a process that maps the old file keeps reading the old
     bytes.
     """
     target = os.path.realpath(path)  # through a symbolic link, as open(path, "wb") writes
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        mode = None  # a new file keeps open()'s mode
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
+    # the rename would replace a FIFO's or a device's node itself, not write to it
+    if mode is not None and stat.S_ISDIR(mode):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if mode is not None and not stat.S_ISREG(mode):
+        raise DataError(f"{path} is not a regular file; refusing to replace it")
     directory, name = os.path.split(target)
     tmp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}{TEMP_SUFFIX}")
     try:
@@ -62,8 +80,8 @@ def replacing(path: str):
         with fh:
             yield fh
         try:
-            with contextlib.suppress(FileNotFoundError):  # a new file keeps open()'s mode
-                os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
+            if mode is not None:
+                os.chmod(tmp, stat.S_IMODE(mode))
             os.replace(tmp, target)
         except OSError as exc:
             raise OSError(exc.errno, exc.strerror, path) from exc

@@ -204,10 +204,8 @@ def normal_cdf(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def gelu_grad(x: np.ndarray, cdf: np.ndarray | None = None) -> np.ndarray:
-    """d/dx GELU; pass the forward pass's Phi(x) to skip recomputing erf."""
-    if cdf is None:
-        cdf = normal_cdf(x)
+def gelu_grad(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """d/dx GELU at ``x``, given the forward pass's ``cdf = Phi(x)``."""
     if np.result_type(x, cdf) != np.float32:
         return cdf + x * np.exp(-0.5 * x * x) * _INV_SQRT_2PI
     out = np.empty(np.shape(x), dtype=np.float32)
@@ -242,18 +240,17 @@ def _normalize_rows_backward(dy, xhat, inv_std, scale):
 
 @dataclass
 class _LayerCache:
-    """What one mixer layer's backward reads."""
+    """What one mixer layer's backward reads: each layer norm's ``xhat`` and ``inv_std``, and
+    each MLP's ``(h, Phi(h))`` from :func:`_mlp`. ``gelu(h) = h * Phi(h)`` is not kept:
+    backward redoes that one multiply, bit for bit, so the record must not be changed in place.
+    """
 
     xhat1: np.ndarray
     inv_std1: np.ndarray
-    h1: np.ndarray
-    cdf1: np.ndarray
-    g1: np.ndarray
+    token_mlp: tuple[np.ndarray, np.ndarray]
     xhat2: np.ndarray
     inv_std2: np.ndarray
-    h2: np.ndarray
-    cdf2: np.ndarray
-    g2: np.ndarray
+    channel_mlp: tuple[np.ndarray, np.ndarray]
 
 
 @dataclass
@@ -284,6 +281,28 @@ def _token_mlp_input(xhat: np.ndarray, scale: np.ndarray, shift: np.ndarray, n: 
     np.multiply(_channels_first(xhat, n), scale[:, None], out=t)
     t += shift[:, None]
     return t.reshape(-1, t.shape[2])
+
+
+def _mlp(a: np.ndarray, params: ModelParams, prefix: str):
+    """``gelu(a @ w1.T + b1) @ w2.T + b2`` on the rows of ``a``, and the ``(h, Phi(h))`` kept."""
+    h = a @ params[f"{prefix}.w1"].T
+    h += params[f"{prefix}.b1"]
+    cdf = normal_cdf(h)
+    out = (h * cdf) @ params[f"{prefix}.w2"].T
+    out += params[f"{prefix}.b2"]
+    return out, (h, cdf)
+
+
+def _mlp_backward(d, a, saved, params: ModelParams, prefix: str, grads: ModelParams):
+    """Store :func:`_mlp`'s weight gradients for output gradient ``d``; return ``a``'s."""
+    h, cdf = saved
+    grads[f"{prefix}.w2"] = d.T @ (h * cdf)
+    grads[f"{prefix}.b2"] = d.sum(axis=0)
+    dh = d @ params[f"{prefix}.w2"]
+    dh *= gelu_grad(h, cdf)
+    grads[f"{prefix}.w1"] = dh.T @ a
+    grads[f"{prefix}.b1"] = dh.sum(axis=0)
+    return dh @ params[f"{prefix}.w1"]
 
 
 def _token_bottleneck(
@@ -362,31 +381,21 @@ def forward_batch(
         xhat1, inv_std1 = _normalize_rows(x)
         t1 = _token_mlp_input(xhat1, params[f"{prefix}.norm1.scale"],
                               params[f"{prefix}.norm1.shift"], n)
-        h1 = t1 @ params[f"{prefix}.token_mlp.w1"].T
-        h1 += params[f"{prefix}.token_mlp.b1"]
-        cdf1 = normal_cdf(h1)
-        g1 = h1 * cdf1
-        m1 = g1 @ params[f"{prefix}.token_mlp.w2"].T
-        m1 += params[f"{prefix}.token_mlp.b2"]
+        m1, token_saved = _mlp(t1, params, f"{prefix}.token_mlp")
         u = np.empty_like(x)
         np.add(x.reshape(n, s, b), m1.reshape(n, b, s).transpose(0, 2, 1),
                out=u.reshape(n, s, b))
 
-        # channel-mixing branch: y = u + gelu(ln2(u) @ w1c.T) @ w2c.T
+        # channel-mixing branch: y = u + mlp(ln2(u)) on the (N*s, b) stream
         xhat2, inv_std2 = _normalize_rows(u)
         n2 = xhat2 * params[f"{prefix}.norm2.scale"]
         n2 += params[f"{prefix}.norm2.shift"]
-        h2 = n2 @ params[f"{prefix}.channel_mlp.w1"].T
-        h2 += params[f"{prefix}.channel_mlp.b1"]
-        cdf2 = normal_cdf(h2)
-        g2 = h2 * cdf2
-        y = g2 @ params[f"{prefix}.channel_mlp.w2"].T
-        y += params[f"{prefix}.channel_mlp.b2"]
+        y, channel_saved = _mlp(n2, params, f"{prefix}.channel_mlp")
         y += u
 
         layers.append(
-            _LayerCache(xhat1=xhat1, inv_std1=inv_std1, h1=h1, cdf1=cdf1, g1=g1,
-                        xhat2=xhat2, inv_std2=inv_std2, h2=h2, cdf2=cdf2, g2=g2)
+            _LayerCache(xhat1=xhat1, inv_std1=inv_std1, token_mlp=token_saved,
+                        xhat2=xhat2, inv_std2=inv_std2, channel_mlp=channel_saved)
         )
         x = y
 
@@ -450,37 +459,23 @@ def backward_batch(
     for k in reversed(range(cfg.depth)):
         prefix = f"mixer.{k}"
         cache = record.layers[k]
-        w2c = params[f"{prefix}.channel_mlp.w2"]
-        w1c = params[f"{prefix}.channel_mlp.w1"]
-        w2t = params[f"{prefix}.token_mlp.w2"]
-        w1t = params[f"{prefix}.token_mlp.w1"]
 
-        # channel-mixing branch: y = u + gelu(ln2(u) @ w1c.T) @ w2c.T
+        # channel-mixing branch: y = u + mlp(ln2(u)) on the (N*s, b) stream
         n2 = cache.xhat2 * params[f"{prefix}.norm2.scale"]
         n2 += params[f"{prefix}.norm2.shift"]
-        grads[f"{prefix}.channel_mlp.w2"] = dx.T @ cache.g2
-        grads[f"{prefix}.channel_mlp.b2"] = dx.sum(axis=0)
-        dh2 = dx @ w2c
-        dh2 *= gelu_grad(cache.h2, cache.cdf2)
-        grads[f"{prefix}.channel_mlp.w1"] = dh2.T @ n2
-        grads[f"{prefix}.channel_mlp.b1"] = dh2.sum(axis=0)
+        dn2 = _mlp_backward(dx, n2, cache.channel_mlp, params, f"{prefix}.channel_mlp", grads)
         du, grads[f"{prefix}.norm2.scale"], grads[f"{prefix}.norm2.shift"] = (
-            _normalize_rows_backward(dh2 @ w1c, cache.xhat2, cache.inv_std2,
+            _normalize_rows_backward(dn2, cache.xhat2, cache.inv_std2,
                                      params[f"{prefix}.norm2.scale"])
         )
         du += dx
 
-        # token-mixing branch: u = x + transpose(gelu(t1 @ w1t.T) @ w2t.T), t1 = ln1(x) transposed
+        # token-mixing branch: u = x + transpose(mlp(t1)), t1 = ln1(x) transposed to (N*b, s)
         dm1 = _channels_first(du, n).reshape(n * b, s)
-        grads[f"{prefix}.token_mlp.w2"] = dm1.T @ cache.g1
-        grads[f"{prefix}.token_mlp.b2"] = dm1.sum(axis=0)
-        dh1 = dm1 @ w2t
-        dh1 *= gelu_grad(cache.h1, cache.cdf1)
         t1 = _token_mlp_input(cache.xhat1, params[f"{prefix}.norm1.scale"],
                               params[f"{prefix}.norm1.shift"], n)
-        grads[f"{prefix}.token_mlp.w1"] = dh1.T @ t1
-        grads[f"{prefix}.token_mlp.b1"] = dh1.sum(axis=0)
-        dt1 = (dh1 @ w1t).reshape(n, b, s).transpose(0, 2, 1).reshape(n * s, b)
+        dt1 = _mlp_backward(dm1, t1, cache.token_mlp, params, f"{prefix}.token_mlp", grads)
+        dt1 = dt1.reshape(n, b, s).transpose(0, 2, 1).reshape(n * s, b)
         dx, grads[f"{prefix}.norm1.scale"], grads[f"{prefix}.norm1.shift"] = (
             _normalize_rows_backward(dt1, cache.xhat1, cache.inv_std1,
                                      params[f"{prefix}.norm1.scale"])

@@ -52,12 +52,18 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         # each message starts with the field it rejects; config.py names the key from it
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        # NaN fails every comparison, so each range test below also rejects it
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and > 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must be in [0, 1)")
+        if not 0 < self.adam_eps < math.inf:
+            raise ValueError("adam_eps must be finite and > 0")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be in 0..2**64-1")
         if self.select_best_by != "accuracy":

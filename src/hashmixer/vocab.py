@@ -30,9 +30,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.units)
 
-    def __contains__(self, unit: str) -> bool:
-        return unit in self.index
-
     @classmethod
     def from_units(cls, units: list[str]) -> "Vocabulary":
         """Check, index and digest ``units``; an error names the first bad line."""

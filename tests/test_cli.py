@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import stat
 import struct
 import subprocess
 import sys
@@ -696,6 +697,34 @@ class TestExitCodes:
             assert run(["train", "--config", str(bad), "--quiet"]) == 2
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert "epoch 1, batch 2: training loss is nan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, literal, named", [
+        ("learning_rate", "NaN", "NaN is not a JSON value"),
+        ("learning_rate", "Infinity", "Infinity is not a JSON value"),
+        ("adam_eps", "-Infinity", "-Infinity is not a JSON value"),
+        ("learning_rate", "1e999", "train.learning_rate"),  # JSON reads it as infinity
+        ("adam_beta1", "1.5", "train.adam_beta1"),
+        ("adam_beta2", "1", "train.adam_beta2"),
+        ("adam_eps", "-1", "train.adam_eps"),
+        ("adam_eps", "1e999", "train.adam_eps"),
+    ])
+    def test_bad_optimizer_setting_is_data_error(self, workspace, tmp_path, capsys, key,
+                                                 literal, named):
+        config = json.load(open(workspace["config"], encoding="utf-8"))
+        config["train"][key] = "VALUE"
+        config["paths"]["out_dir"] = str(tmp_path / "run")
+        bad = tmp_path / "optimizer.json"
+        bad.write_text(json.dumps(config).replace('"VALUE"', literal), encoding="utf-8")
+        self._exits_2_naming(capsys, ["train", "--config", str(bad), "--quiet"], bad, named)
+        assert not (tmp_path / "run").exists()
+
+    def test_build_cache_over_a_fifo_is_data_error(self, workspace, tmp_path, capsys):
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        self._exits_2_naming(capsys, ["build-cache", "--vocab", workspace["paths"]["vocab"],
+                                      "-o", str(fifo), "--quiet"], fifo, "not a regular file")
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert os.listdir(tmp_path) == ["out.fifo"]
 
     @staticmethod
     def _exits_2_naming(capsys, argv, path, *names):

@@ -23,6 +23,13 @@ class TestText:
         with pytest.raises(DataError, match=f"cannot read vocabulary file {path}"):
             read_text(str(path), "vocabulary file")
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_json_constants_are_refused(self, tmp_path, literal):
+        path = tmp_path / "t.json"
+        path.write_text(f'{{"a": [1, {literal}]}}', encoding="utf-8")
+        with pytest.raises(DataError, match=f"{path}: invalid JSON: {literal} is not"):
+            read_json(str(path), "config file")
+
     def test_invalid_json_names_the_file(self, tmp_path):
         path = tmp_path / "t.json"
         path.write_text('["a", ', encoding="utf-8")
@@ -131,3 +138,22 @@ class TestReplacing:
                 fh.write(b"data")
         assert str(info.value).endswith(f"'{target}'")
         assert os.listdir(tmp_path) == ["d"] and os.listdir(target) == []
+
+    def test_fifo_target_is_refused_and_left_as_it_was(self, tmp_path):
+        target = tmp_path / "t.fifo"
+        os.mkfifo(target)
+        with pytest.raises(DataError, match=f"{target} is not a regular file"):
+            with replacing(str(target)) as fh:
+                fh.write(b"data")
+        assert stat.S_ISFIFO(os.lstat(target).st_mode)
+        assert os.listdir(tmp_path) == ["t.fifo"]
+
+    def test_link_to_a_fifo_is_refused(self, tmp_path):
+        fifo, link = tmp_path / "t.fifo", tmp_path / "link"
+        os.mkfifo(fifo)
+        link.symlink_to(fifo)
+        with pytest.raises(DataError, match=f"{link} is not a regular file"):
+            with replacing(str(link)):
+                pass
+        assert link.is_symlink() and stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert sorted(os.listdir(tmp_path)) == ["link", "t.fifo"]

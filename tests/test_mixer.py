@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -34,6 +35,18 @@ def backward(record, upstream, params, cfg):
     """Single-example backward matching :func:`forward`."""
     grads, input_grad = backward_batch(record, upstream[None, ...], params, cfg)
     return grads, input_grad[0]
+
+
+def record_arrays(record):
+    """Every array that an ActivationRecord holds, its layers' included, in a fixed order."""
+    if isinstance(record, np.ndarray):
+        return [record]
+    if isinstance(record, (tuple, list)):
+        return [a for value in record for a in record_arrays(value)]
+    if dataclasses.is_dataclass(record):
+        return [a for f in dataclasses.fields(record)
+                for a in record_arrays(getattr(record, f.name))]
+    return []
 
 
 def gelu(x):
@@ -166,7 +179,8 @@ class TestFloat32Gelu:
     def test_infinities_and_nan(self):
         cdf = normal_cdf(np.array([np.inf, -np.inf, np.nan, 0.0], dtype=np.float32))
         assert cdf[0] == 1.0 and cdf[1] == 0.0 and np.isnan(cdf[2]) and cdf[3] == 0.5
-        grad = gelu_grad(np.array([np.nan], dtype=np.float32))
+        nan = np.array([np.nan], dtype=np.float32)
+        grad = gelu_grad(nan, normal_cdf(nan))
         assert np.isnan(grad[0])
 
     def test_zero_d_input(self):
@@ -174,7 +188,7 @@ class TestFloat32Gelu:
         cdf = normal_cdf(x)
         assert cdf.shape == () and cdf.dtype == np.float32
         assert abs(float(cdf) - self.exact_cdf([x])[0]) <= self.CDF_TOL
-        assert gelu_grad(x).shape == ()
+        assert gelu_grad(x, cdf).shape == ()
 
     def test_non_contiguous_input(self, rng):
         x = rng.normal(scale=3.0, size=(40, 30)).astype(np.float32)
@@ -201,9 +215,9 @@ class TestFloat32Gelu:
         x = np.linspace(-10.0, 10.0, 100_001, dtype=np.float32)
         x64 = x.astype(np.float64)
         expected = normal_cdf(x64) + x64 * np.exp(-0.5 * x64 * x64) / math.sqrt(2.0 * math.pi)
-        for grad in (gelu_grad(x), gelu_grad(x, normal_cdf(x))):
-            assert grad.dtype == np.float32
-            assert np.abs(grad - expected).max() <= 1e-6
+        grad = gelu_grad(x, normal_cdf(x))
+        assert grad.dtype == np.float32
+        assert np.abs(grad - expected).max() <= 1e-6
 
     def test_float64_cdf_is_stdlib_erf(self, rng):
         x = rng.normal(scale=4.0, size=10_000)
@@ -506,6 +520,17 @@ class TestFloat32Network:
             assert grads32[name].dtype == np.float32, name
             scale = np.abs(grads64[name]).max()
             assert np.abs(grads32[name] - grads64[name]).max() <= 1e-4 * scale, name
+        # backward only reads the record: a second pass gives the same bytes
+        for inputs, params in ((inputs32, params32), (inputs64, params64)):
+            logits, record = forward_batch(inputs, valid, params, cfg)
+            _, dlogits = cross_entropy_masked(logits, labels, head=head)
+            saved = [a.copy() for a in record_arrays(record)]
+            first, _ = backward_batch(record, dlogits, params, cfg)
+            second, _ = backward_batch(record, dlogits, params, cfg)
+            assert all(first[k].tobytes() == second[k].tobytes() for k in first)
+            after = record_arrays(record)
+            assert len(after) == len(saved)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(saved, after))
 
 
 class TestParameterCounts:

@@ -609,6 +609,20 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(select_best_by="loss")
 
+    @pytest.mark.parametrize("key, value", [
+        ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+        ("adam_beta1", 1.5), ("adam_beta1", -0.1), ("adam_beta1", float("nan")),
+        ("adam_beta2", 1.0), ("adam_eps", -1.0), ("adam_eps", 0.0), ("adam_eps", float("inf")),
+        ("adam_eps", float("nan")),
+    ])
+    def test_optimizer_settings_are_checked(self, key, value):
+        # the message starts with the field, which config.py turns into the key's name
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            TrainConfig(**{key: value})
+
+    def test_optimizer_range_ends(self):
+        TrainConfig(adam_beta1=0.0, adam_beta2=0.0, adam_eps=1e-300, learning_rate=1e300)
+
     def test_defaults_match_training_protocol(self):
         tc = TrainConfig()
         assert tc.learning_rate == 5e-4
