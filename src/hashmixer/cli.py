@@ -142,40 +142,40 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _load_for_inference(args, cfg: RunConfig):
-    """Load the model, its checked label inventory and the featurizer.
+def _load_for_inference(args):
+    """Load the model, its run config, its checked label inventory and the featurizer.
 
-    Returns ``(params, model_cfg, was_quantized, inventory, featurizer)``.
+    Each side file is the flag's, if given, or else the file of that name in
+    the model's directory, where ``train`` writes it. Returns ``(cfg, params,
+    model_cfg, was_quantized, inventory, featurizer)``.
     """
+    model_dir = os.path.dirname(os.path.abspath(args.model))
+    config_path = os.path.join(model_dir, "config.json") if args.config is None else args.config
+    labels_path = os.path.join(model_dir, "labels.json") if args.labels is None else args.labels
     params, model_cfg, was_quantized = load_model(args.model)
+    cfg = build_run_config(config_path)
     proj = cfg.projection
     if (proj.input_rows, proj.max_seq_len) != (model_cfg.input_rows, model_cfg.seq_len):
-        source = args.config or (f"preset {args.preset}" if args.preset else "the default config")
         raise DataError(
             f"{args.model} takes {model_cfg.input_rows} input rows x {model_cfg.seq_len} "
-            f"positions, {source} projects {proj.input_rows} x {proj.max_seq_len}"
+            f"positions, {config_path} projects {proj.input_rows} x {proj.max_seq_len}"
         )
-    labels_path = args.labels
-    if labels_path is None:
-        labels_path = os.path.join(os.path.dirname(os.path.abspath(args.model)), "labels.json")
     labels = read_json(labels_path, "label inventory")
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise DataError(f"{labels_path}: expected a JSON array of label strings")
     if len(labels) != model_cfg.num_labels:
-        raise DataError(
-            f"label inventory has {len(labels)} entries, model expects {model_cfg.num_labels}"
-        )
+        raise DataError(f"{labels_path}: label inventory has {len(labels)} entries, "
+                        f"{args.model} expects {model_cfg.num_labels}")
     index = {l: i for i, l in enumerate(labels)}
     if len(index) != len(labels):  # a repeated label keeps only its last position
         repeated = next(l for i, l in enumerate(labels) if index[l] != i)
         raise DataError(f"{labels_path}: label {repeated!r} is listed more than once")
     inventory = LabelInventory(labels=tuple(labels), index=index)
-    return params, model_cfg, was_quantized, inventory, _featurizer(cfg)
+    return cfg, params, model_cfg, was_quantized, inventory, _featurizer(cfg)
 
 
 def _cmd_eval(args) -> int:
-    cfg = build_run_config(args.config, args.preset)
-    params, model_cfg, was_quantized, inventory, featurizer = _load_for_inference(args, cfg)
+    cfg, params, model_cfg, was_quantized, inventory, featurizer = _load_for_inference(args)
     examples = load_jsonl(args.data)
     data = encode_dataset(examples, featurizer, inventory, model_cfg.head, strict=False)
     report = evaluate(data, featurizer, params, model_cfg, inventory,
@@ -200,8 +200,7 @@ def _cmd_quantize(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    params, model_cfg, _, inventory, featurizer = _load_for_inference(
-        args, build_run_config(args.config, args.preset))
+    _, params, model_cfg, _, inventory, featurizer = _load_for_inference(args)
     labels = inventory.labels
     tokens = pre_tokenize(args.text)
     if not tokens:
@@ -270,8 +269,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="evaluate a model file on a dataset")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--config", default=None)
-    p.add_argument("--preset", choices=sorted(PRESETS), default=None)
+    p.add_argument("--config", default=None, help="run config JSON (default: next to model)")
     p.add_argument("--labels", default=None, help="label inventory JSON (default: next to model)")
     p.set_defaults(func=_cmd_eval)
 
@@ -283,9 +281,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("predict", help="tag or classify one text")
     p.add_argument("--model", required=True)
     p.add_argument("--text", required=True)
-    p.add_argument("--config", default=None)
-    p.add_argument("--preset", choices=sorted(PRESETS), default=None)
-    p.add_argument("--labels", default=None)
+    p.add_argument("--config", default=None, help="run config JSON (default: next to model)")
+    p.add_argument("--labels", default=None, help="label inventory JSON (default: next to model)")
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("import-mtop", help="normalize a flat slot-tagging TSV to JSONL")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import unicodedata
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import DataError
 from .files import read_text
@@ -29,6 +30,11 @@ class Vocabulary:
 
     def __len__(self) -> int:
         return len(self.units)
+
+    @cached_property
+    def longest(self) -> int:
+        """Length of the longest unit, ``##`` prefix included: computed on first use."""
+        return max(map(len, self.units))
 
     @classmethod
     def from_units(cls, units: list[str]) -> "Vocabulary":
@@ -103,7 +109,10 @@ def tokenize_word(word: str, vocab: Vocabulary) -> list[int]:
 
     After the first piece, candidates are looked up with the ``##`` prefix.
     If at any step no vocabulary unit matches, the whole word maps to the
-    unknown token's row.
+    unknown token's row. No unit is longer than ``Vocabulary.longest``, so
+    each piece's search starts at the longest candidate of that length
+    (``##`` counted), not at the word's end: a long word costs lookups
+    linear in its length, not quadratic.
     """
     if not word:
         raise ValueError("cannot tokenize an empty word")
@@ -111,7 +120,7 @@ def tokenize_word(word: str, vocab: Vocabulary) -> list[int]:
     start = 0
     while start < len(word):
         prefix = CONTINUATION_PREFIX if start > 0 else ""
-        end = len(word)
+        end = min(len(word), start + vocab.longest - len(prefix))
         while (row := vocab.index.get(prefix + word[start:end])) is None:
             end -= 1
             if end == start:

@@ -77,6 +77,29 @@ def trained(workspace):
     return str(workspace["root"] / "run")
 
 
+@pytest.fixture(scope="module")
+def pooled(workspace):
+    """A pooled-head run on a classification copy of the task: each class is the first tag."""
+    root = workspace["root"] / "pooled"
+    root.mkdir()
+    data = {}
+    for split in ("train", "val"):
+        data[split] = str(root / f"{split}.jsonl")
+        with open(workspace["paths"][split], encoding="utf-8") as src, \
+                open(data[split], "w", encoding="utf-8") as dst:
+            for line in src:
+                row = json.loads(line)
+                dst.write(json.dumps({"tokens": row["tokens"], "label": row["slots"][0]}) + "\n")
+    config = json.load(open(workspace["config"], encoding="utf-8"))
+    config["model"]["head"] = "pooled"
+    config["paths"].update(train_data=data["train"], val_data=data["val"],
+                           out_dir=str(root / "run"))
+    path = root / "run.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert run(["train", "--config", str(path), "--quiet"]) == 0
+    return {"run": str(root / "run"), "val": data["val"]}
+
+
 class TestBuildCache:
     def test_reproducible_checksum(self, workspace, capsys):
         root, vocab = workspace["root"], workspace["paths"]["vocab"]
@@ -297,6 +320,41 @@ class TestTrainEvalPredictQuantize:
         report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert report["quantized"] is True
         assert report["value"] > 0.5
+
+    @pytest.mark.parametrize("model", ["model.bin", "model.q.bin"])
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_run_directory_alone_serves_the_model(self, trained, workspace, capsys, command,
+                                                 model):
+        # train writes config.json and labels.json beside model.bin, and so the
+        # quantized file written next to it finds them too
+        if model == "model.q.bin":
+            assert run(["quantize", "--model", os.path.join(trained, "model.bin"),
+                        "-o", os.path.join(trained, model), "--quiet"]) == 0
+        with open(workspace["paths"]["val"], encoding="utf-8") as fh:
+            text = " ".join(json.loads(fh.readline())["tokens"])
+        argv = {"eval": ["eval", "--data", workspace["paths"]["val"]],
+                "predict": ["predict", "--text", text]}[command]
+        argv += ["--model", os.path.join(trained, model)]
+        outputs = []
+        for flags in ([], ["--config", os.path.join(trained, "config.json")]):
+            assert run(argv + flags) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] and outputs[0].strip()
+
+    def test_pooled_head_from_its_run_directory(self, pooled, capsys):
+        model = os.path.join(pooled["run"], "model.bin")
+        assert run(["eval", "--model", model, "--data", pooled["val"]]) == 0
+        report = json.loads(capsys.readouterr().out)
+        with open(os.path.join(pooled["run"], "train_log.jsonl"), encoding="utf-8") as fh:
+            best = max(json.loads(line)["val_metric"] for line in fh)
+        assert report["metric"] == "intent_accuracy"
+        assert report["value"] == best
+        with open(pooled["val"], encoding="utf-8") as fh:
+            text = " ".join(json.loads(fh.readline())["tokens"])
+        assert run(["predict", "--model", model, "--text", text]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        with open(os.path.join(pooled["run"], "labels.json"), encoding="utf-8") as fh:
+            assert list(payload) == ["label"] and payload["label"] in json.load(fh)
 
     def test_project_dump_matches_reference(self, workspace, capsys):
         out = str(workspace["root"] / "features.bin")
@@ -537,6 +595,41 @@ class TestExitCodes:
                                              "--config", workspace["config"],
                                              "--labels", str(path), "--quiet"],
                              path, repr(labels[0]), "more than once")
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_label_count_not_matching_model_is_data_error(self, trained, workspace, tmp_path,
+                                                          capsys, command):
+        labels = json.load(open(os.path.join(trained, "labels.json"), encoding="utf-8"))
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(labels[:-1]), encoding="utf-8")
+        model = os.path.join(trained, "model.bin")
+        argv = {"eval": ["eval", "--data", workspace["paths"]["val"]],
+                "predict": ["predict", "--text", "a b"]}[command]
+        self._exits_2_naming(capsys, argv + ["--model", model, "--labels", str(path)],
+                             path, model, f"{len(labels) - 1} entries", f"expects {len(labels)}")
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_model_without_config_beside_it_is_data_error(self, trained, workspace, tmp_path,
+                                                          capsys, command):
+        # a model copied alone, with its labels: no --config and no config.json to find
+        for name in ("model.bin", "labels.json"):
+            with open(os.path.join(trained, name), "rb") as fh:
+                (tmp_path / name).write_bytes(fh.read())
+        argv = {"eval": ["eval", "--data", workspace["paths"]["val"]],
+                "predict": ["predict", "--text", "a b"]}[command]
+        self._exits_2_naming(capsys, argv + ["--model", str(tmp_path / "model.bin")],
+                             tmp_path / "config.json")
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_preset_is_usage_error_for_eval_and_predict(self, trained, workspace, capsys,
+                                                        command):
+        # the model file fixes the geometry and the run's config.json the rest
+        argv = {"eval": ["eval", "--data", workspace["paths"]["val"]],
+                "predict": ["predict", "--text", "a b"]}[command]
+        argv += ["--model", os.path.join(trained, "model.bin")]
+        assert run(argv + ["--preset", "base"]) == 1
+        assert "unrecognized arguments: --preset base" in capsys.readouterr().err
+        assert run(argv) == 0
 
     @staticmethod
     def _write_config(workspace, tmp_path, name, **paths):

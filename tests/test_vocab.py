@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 
@@ -125,6 +126,16 @@ def texts(rows, vocab):
     return [vocab.units[r] for r in rows]
 
 
+class _CountingIndex(dict):
+    """A vocabulary index that counts the lookups ``tokenize_word`` makes through ``get``."""
+
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+
 class TestTokenizeWord:
     def test_documented_split(self, tiny_vocab):
         rows = tokenize_word("Bringing", tiny_vocab)
@@ -162,6 +173,19 @@ class TestTokenizeWord:
     def test_word_starting_with_a_continuation_unit(self, tiny_vocab):
         # a dataset token may itself be a ``##`` unit: its first piece is that unit's row
         assert texts(tokenize_word("##ing", tiny_vocab), tiny_vocab) == ["##ing"]
+
+    def test_search_is_bounded_by_the_longest_unit(self):
+        # a long word of one repeated unit: each piece is looked up from the
+        # longest unit's length down, never from the word's end
+        vocab = Vocabulary.from_units(["[UNK]", "a", "##a"])
+        index = _CountingIndex(vocab.index)
+        word = "a" * 1000
+        rows = tokenize_word(word, dataclasses.replace(vocab, index=index))
+        assert rows == [vocab.index["a"]] + [vocab.index["##a"]] * (len(word) - 1)
+        # "aaaaa" .. "a" for the first piece, "##aaa" .. "##a" (fewer at the end) for each
+        # other: 2,999 lookups, where a search from the word's end makes about 500,000
+        assert index.lookups == 5 + 3 * (len(word) - 3) + 2 + 1
+        assert vocab.longest == len("[UNK]")
 
     @given(st.text(alphabet="abct", min_size=1, max_size=12))
     @settings(max_examples=150)
