@@ -31,7 +31,7 @@ import numpy as np
 from .config import PRESETS, RunConfig, build_run_config, save_run_config
 from .data import Example, LabelInventory, import_mtop, import_multiatis, load_jsonl
 from .errors import DataError
-from .files import read_json
+from .files import read_json, regular_file_mode, replacing
 from .hashing import HashFamily
 from .mixer import count_parameters
 from .model_io import load_model, save_features, save_model, save_quantized_model
@@ -57,13 +57,22 @@ def _emit(args, payload: dict) -> None:
         print(json.dumps(payload))
 
 
-def _featurizer(cfg: RunConfig) -> SequenceFeaturizer:
+def _featurizer(cfg: RunConfig, source: str | None) -> SequenceFeaturizer:
+    """The run config's featurizer; a vocabulary or cache error names the config file
+    ``source`` and the key the path came from."""
     if cfg.vocab_path is None:
         raise ValueError("config paths.vocab is required for this command")
-    vocab = load_vocab(cfg.vocab_path)
+
+    def load(loader, key: str, path: str):
+        try:
+            return loader(path)
+        except DataError as exc:
+            raise type(exc)(f"{exc} (paths.{key} in {source})") from exc
+
+    vocab = load(load_vocab, "vocab", cfg.vocab_path)
     cache = None
     if cfg.projection.kind == "minhash" and cfg.cache_path is not None:
-        cache = load_cache(cfg.cache_path)
+        cache = load(load_cache, "cache", cfg.cache_path)
     return SequenceFeaturizer(vocab, cfg.projection, cache=cache)
 
 
@@ -76,7 +85,7 @@ def _cmd_build_cache(args) -> int:
 
 def _cmd_project(args) -> int:
     cfg = build_run_config(args.config, args.preset)
-    featurizer = _featurizer(cfg)
+    featurizer = _featurizer(cfg, args.config)
     examples = load_jsonl(args.input)
     ids, valid = featurizer.encode([ex.tokens for ex in examples])
     chunk = cfg.train.batch_size
@@ -105,10 +114,14 @@ def _cmd_train(args) -> int:
     out_dir = cfg.out_dir
     if out_dir is None:
         raise ValueError("an output directory is required (--out or paths.out_dir)")
-    featurizer = _featurizer(cfg)
+    featurizer = _featurizer(cfg, args.config)
     train_examples = load_jsonl(cfg.train_data)
     val_examples = load_jsonl(cfg.val_data)
     os.makedirs(out_dir, exist_ok=True)  # only once every input has loaded
+    # an output that is not a regular file is refused now, not after training
+    # (the log's plain open would block on a FIFO)
+    for name in ("train_log.jsonl", "model.bin", "labels.json", "config.json"):
+        regular_file_mode(os.path.join(out_dir, name))
 
     log_path = os.path.join(out_dir, "train_log.jsonl")
     with open(log_path, "w", encoding="utf-8") as log_fh:
@@ -133,8 +146,9 @@ def _cmd_train(args) -> int:
 
     model_path = os.path.join(out_dir, "model.bin")
     save_model(model_path, result.params, result.model_cfg)
-    with open(os.path.join(out_dir, "labels.json"), "w", encoding="utf-8") as fh:
-        json.dump(list(result.inventory.labels), fh, ensure_ascii=False, indent=2)
+    with replacing(os.path.join(out_dir, "labels.json")) as fh:
+        fh.write(json.dumps(list(result.inventory.labels), ensure_ascii=False,
+                            indent=2).encode("utf-8"))
     echo = dataclasses.replace(cfg, num_labels=result.model_cfg.num_labels)
     save_run_config(echo, os.path.join(out_dir, "config.json"))
     _emit(args, {"model": model_path, "best_epoch": result.best_epoch,
@@ -171,7 +185,7 @@ def _load_for_inference(args):
         repeated = next(l for i, l in enumerate(labels) if index[l] != i)
         raise DataError(f"{labels_path}: label {repeated!r} is listed more than once")
     inventory = LabelInventory(labels=tuple(labels), index=index)
-    return cfg, params, model_cfg, was_quantized, inventory, _featurizer(cfg)
+    return cfg, params, model_cfg, was_quantized, inventory, _featurizer(cfg, config_path)
 
 
 def _cmd_eval(args) -> int:

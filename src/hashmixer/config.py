@@ -29,7 +29,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import DataError
-from .files import read_json
+from .files import read_json, replacing
 from .mixer import ModelConfig
 from .projection import ProjectionConfig
 from .training import TrainConfig
@@ -200,6 +200,5 @@ def _from_document(document: dict, source: str | None = None) -> RunConfig:
 
 
 def save_run_config(cfg: RunConfig, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(cfg.to_document(), fh, indent=2)
-        fh.write("\n")
+    with replacing(path) as fh:
+        fh.write((json.dumps(cfg.to_document(), indent=2) + "\n").encode("utf-8"))

@@ -45,6 +45,27 @@ def read_json(path: str, what: str):
         raise DataError(f"{path}: invalid JSON: {exc}") from exc
 
 
+def regular_file_mode(path: str) -> int | None:
+    """The mode of the regular file at ``path`` (through links), or ``None`` if there is none.
+
+    An existing ``path`` that is not a regular file is refused: a directory
+    with :class:`IsADirectoryError`, anything else (a FIFO, a device) with
+    :class:`DataError`. So a writer that checks first neither blocks on a
+    FIFO nor replaces a device's node.
+    """
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        return None
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
+    if stat.S_ISDIR(mode):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not stat.S_ISREG(mode):
+        raise DataError(f"{path} is not a regular file; refusing to replace it")
+    return mode
+
+
 @contextlib.contextmanager
 def replacing(path: str):
     """A new binary file that replaces ``path`` when the block completes.
@@ -53,23 +74,13 @@ def replacing(path: str):
     ``.<name>.<random><TEMP_SUFFIX>``), renamed over ``path`` only on
     success, with the permission bits of the file it replaces. An existing
     ``path`` that is not a regular file (a directory, a FIFO, a device) is
-    refused before anything is written. On any
+    refused before anything is written (:func:`regular_file_mode`). On any
     exception the temporary file is removed and an existing ``path`` is left
     untouched, so a process that maps the old file keeps reading the old
     bytes.
     """
     target = os.path.realpath(path)  # through a symbolic link, as open(path, "wb") writes
-    try:
-        mode = os.stat(target).st_mode
-    except FileNotFoundError:
-        mode = None  # a new file keeps open()'s mode
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, path) from exc
-    # the rename would replace a FIFO's or a device's node itself, not write to it
-    if mode is not None and stat.S_ISDIR(mode):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    if mode is not None and not stat.S_ISREG(mode):
-        raise DataError(f"{path} is not a regular file; refusing to replace it")
+    mode = regular_file_mode(path)  # None: a new file keeps open()'s mode
     directory, name = os.path.split(target)
     tmp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}{TEMP_SUFFIX}")
     try:

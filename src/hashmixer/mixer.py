@@ -16,8 +16,20 @@ GEMMs; the transposition back is folded into the residual add, and backward
 rebuilds the copy from the cached normalized rows instead of keeping it
 alive between the passes. Logits keep
 the ``(N, labels, s)`` layout, and :class:`ActivationRecord`'s
-``mixer_out`` keeps its ``(N, b, s)`` shape as a transposed view of the
-stream.
+``mixer_out`` gives the last stream in ``(N, b, s)`` shape.
+
+Padding. Position ``t`` of example ``n`` is live when ``t < valid_lens[n]``.
+Every layer but the last runs on all positions, because the next token MLP
+reads them all. After the last token-mixing step no position reads another,
+so with ``live_only`` (as training and inference run it) the last layer
+computes only what the loss reads: its token MLP's outputs up to the batch's
+longest valid length (the span), then its residual sum, channel MLP and the
+head on the live rows alone. Padded positions then hold exactly 0 in the
+token-head logits and in ``mixer_out``, which zero-pads the record's live
+rows when read. Nothing reads them: the loss masks them, the pooled head
+gives them weight 0 (a finite 0 keeps its weighted sum exact), and backward
+reads no upstream gradient there. The default computes every position, as a
+position-by-position reference does; live logits are the same either way.
 
 The input comes in two forms. Training and inference pass
 :class:`~hashmixer.projection.TokenWindows`, the token-table row of every
@@ -259,15 +271,27 @@ class ActivationRecord:
 
     ``inputs`` is the dense input tensor, or for token input the pair
     ``(rows, inverse)``: the batch's distinct table rows and, per window
-    slot, each position's index into them. ``mixer_out`` is an ``(N, b, s)``
-    view of the tokens-major stream.
+    slot, each position's index into them. ``computed_lens`` are the
+    positions per example that the last layer computed: the valid lengths
+    with ``live_only``, else ``seq_len``. ``out_rows`` are the last layer's
+    output rows at those positions, in example order, and the last layer's
+    ``xhat2``, ``inv_std2`` and ``channel_mlp`` hold the same rows.
     """
 
     inputs: np.ndarray | tuple[np.ndarray, np.ndarray]
-    mixer_out: np.ndarray
+    seq_len: int
+    computed_lens: np.ndarray
+    out_rows: np.ndarray
     layers: list[_LayerCache]
     alpha: np.ndarray | None = None
     pooled: np.ndarray | None = None
+
+    @property
+    def mixer_out(self) -> np.ndarray:
+        """The last layer's ``(N, b, s)`` output, zero at positions it did not compute."""
+        n, s = len(self.computed_lens), self.seq_len
+        _, live = _live_positions(self.computed_lens, s)
+        return _channels_first(_zero_padded(self.out_rows, live, n, s), n)
 
 
 def _channels_first(stream: np.ndarray, n: int) -> np.ndarray:
@@ -283,22 +307,63 @@ def _token_mlp_input(xhat: np.ndarray, scale: np.ndarray, shift: np.ndarray, n: 
     return t.reshape(-1, t.shape[2])
 
 
-def _mlp(a: np.ndarray, params: ModelParams, prefix: str):
-    """``gelu(a @ w1.T + b1) @ w2.T + b2`` on the rows of ``a``, and the ``(h, Phi(h))`` kept."""
+def _live_positions(valid: np.ndarray, s: int):
+    """The span (the longest valid length) and an index of the live positions (``t < valid``)
+    of an ``(N, s, c)`` array: ``None`` when every position is live, else per-position index
+    arrays."""
+    if valid.min() == s:
+        return s, None
+    return int(valid.max()), np.nonzero(np.arange(valid.max()) < valid[:, None])
+
+
+def _live_rows(a3: np.ndarray, live) -> np.ndarray:
+    """The live positions of an ``(N, s', c)`` array as ``(L, c)`` rows, in example order."""
+    return a3.reshape(-1, a3.shape[2]) if live is None else a3[live]
+
+
+def _zero_padded(rows: np.ndarray, live, n: int, s: int) -> np.ndarray:
+    """The tokens-major ``(N*s, c)`` array holding ``rows`` at the live positions, else zeros."""
+    if live is None:
+        return rows
+    full = np.zeros((n, s, rows.shape[1]), dtype=rows.dtype)
+    full[live] = rows
+    return full.reshape(n * s, -1)
+
+
+def _token_residual(x: np.ndarray, m1: np.ndarray, n: int, live) -> np.ndarray:
+    """``x`` plus the token MLP's ``(N*b, width)`` output transposed back, at the live rows."""
+    x3 = x.reshape(n, -1, x.shape[1])
+    m3 = m1.reshape(n, x.shape[1], m1.shape[1]).transpose(0, 2, 1)
+    if live is not None:
+        return x3[live] + m3[live]
+    u = np.empty_like(x)
+    np.add(x3, m3, out=u.reshape(x3.shape))  # the transposition folded into the add
+    return u
+
+
+def _mlp(a: np.ndarray, params: ModelParams, prefix: str, width: int | None = None):
+    """``gelu(a @ w1.T + b1) @ w2.T + b2`` on the rows of ``a``, its first ``width`` outputs
+    (all by default), and the ``(h, Phi(h))`` kept."""
     h = a @ params[f"{prefix}.w1"].T
     h += params[f"{prefix}.b1"]
     cdf = normal_cdf(h)
-    out = (h * cdf) @ params[f"{prefix}.w2"].T
-    out += params[f"{prefix}.b2"]
+    out = (h * cdf) @ params[f"{prefix}.w2"][:width].T
+    out += params[f"{prefix}.b2"][:width]
     return out, (h, cdf)
 
 
 def _mlp_backward(d, a, saved, params: ModelParams, prefix: str, grads: ModelParams):
-    """Store :func:`_mlp`'s weight gradients for output gradient ``d``; return ``a``'s."""
+    """Store :func:`_mlp`'s weight gradients for the gradient ``d`` of its first
+    ``d.shape[1]`` outputs, the rows of later outputs being zero; return ``a``'s."""
     h, cdf = saved
+    w2 = params[f"{prefix}.w2"][: d.shape[1]]
     grads[f"{prefix}.w2"] = d.T @ (h * cdf)
     grads[f"{prefix}.b2"] = d.sum(axis=0)
-    dh = d @ params[f"{prefix}.w2"]
+    pad = len(params[f"{prefix}.w2"]) - len(w2)
+    if pad:
+        grads[f"{prefix}.w2"] = np.pad(grads[f"{prefix}.w2"], ((0, pad), (0, 0)))
+        grads[f"{prefix}.b2"] = np.pad(grads[f"{prefix}.b2"], (0, pad))
+    dh = d @ w2
     dh *= gelu_grad(h, cdf)
     grads[f"{prefix}.w1"] = dh.T @ a
     grads[f"{prefix}.b1"] = dh.sum(axis=0)
@@ -357,8 +422,15 @@ def forward_batch(
     valid_lens: np.ndarray,
     params: ModelParams,
     cfg: ModelConfig,
+    live_only: bool = False,
 ) -> tuple[np.ndarray, ActivationRecord]:
-    """Run the network on a dense (batch, input_rows, seq_len) tensor or on token windows."""
+    """Run the network on a dense (batch, input_rows, seq_len) tensor or on token windows.
+
+    Position ``t`` of example ``n`` is live when ``t < valid_lens[n]``. By default every
+    position is computed. With ``live_only`` the last layer and the head compute only the
+    live positions, and token-head logits and the record's ``mixer_out`` are exactly 0 at
+    padded ones (see "Padding" in the module docstring); live logits are the same.
+    """
     if isinstance(inputs, TokenWindows):
         x, saved = _token_bottleneck(inputs, params, cfg)
         n = inputs.ids.shape[0]
@@ -374,19 +446,24 @@ def forward_batch(
         x += params["bottleneck.bias"]
         saved = inputs
     s, b = cfg.seq_len, cfg.bottleneck
+    valid = np.asarray(valid_lens)
+    if cfg.head == "pooled" and np.any(valid < 1):
+        raise ValueError("pooled head needs at least one valid position per example")
+    computed = valid if live_only else np.full(len(valid), s)
+    span, live = _live_positions(computed, s)
     layers: list[_LayerCache] = []
     for k in range(cfg.depth):
         prefix = f"mixer.{k}"
+        # the last layer keeps only the live rows, after mixing in token outputs up to span
+        last_live, width = (live, span) if k == cfg.depth - 1 else (None, s)
         # token-mixing branch on the (N*b, s) transpose of ln1(x)
         xhat1, inv_std1 = _normalize_rows(x)
         t1 = _token_mlp_input(xhat1, params[f"{prefix}.norm1.scale"],
                               params[f"{prefix}.norm1.shift"], n)
-        m1, token_saved = _mlp(t1, params, f"{prefix}.token_mlp")
-        u = np.empty_like(x)
-        np.add(x.reshape(n, s, b), m1.reshape(n, b, s).transpose(0, 2, 1),
-               out=u.reshape(n, s, b))
+        m1, token_saved = _mlp(t1, params, f"{prefix}.token_mlp", width)
+        u = _token_residual(x, m1, n, last_live)
 
-        # channel-mixing branch: y = u + mlp(ln2(u)) on the (N*s, b) stream
+        # channel-mixing branch: y = u + mlp(ln2(u)) on the rows of u
         xhat2, inv_std2 = _normalize_rows(u)
         n2 = xhat2 * params[f"{prefix}.norm2.scale"]
         n2 += params[f"{prefix}.norm2.shift"]
@@ -398,18 +475,19 @@ def forward_batch(
                         xhat2=xhat2, inv_std2=inv_std2, channel_mlp=channel_saved)
         )
         x = y
+    if cfg.depth == 0:
+        x = _live_rows(x.reshape(n, s, b), live)
 
-    record = ActivationRecord(inputs=saved, mixer_out=_channels_first(x, n), layers=layers)
+    record = ActivationRecord(inputs=saved, seq_len=s, computed_lens=computed, out_rows=x,
+                              layers=layers)
 
     if cfg.head == "token":
         logits = x @ params["head.weight"].T
         logits += params["head.bias"]
-        return _channels_first(logits, n), record
+        return _channels_first(_zero_padded(logits, live, n, s), n), record
 
-    valid = np.asarray(valid_lens)
-    if np.any(valid < 1):
-        raise ValueError("pooled head needs at least one valid position per example")
-    x3 = x.reshape(n, s, b)
+    # rows not computed are 0, finite, so their weight 0 keeps the pooled sum exact
+    x3 = _zero_padded(x, live, n, s).reshape(n, s, b)
     mask = np.arange(s)[None, :] < valid[:, None]
     scores = x3 @ params["head.query"]
     scores = np.where(mask, scores, -np.inf)
@@ -431,36 +509,38 @@ def backward_batch(
 ) -> tuple[ModelParams, np.ndarray | None]:
     """Exact gradients of all parameters, and of the input when it is a dense tensor.
 
-    Token-window input has no input gradient: the second value is ``None``.
+    After a ``live_only`` forward, ``upstream`` at padded positions is not read: the logits
+    there are constant. Token-window input has no input gradient: the second value is ``None``.
     """
     token_input = isinstance(record.inputs, tuple)
     grads: ModelParams = {}
-    n, b, s = record.mixer_out.shape
-    o = record.mixer_out.transpose(0, 2, 1).reshape(n * s, b)  # the stream itself, no copy
+    n, s, b = len(record.computed_lens), cfg.seq_len, cfg.bottleneck
+    span, live = _live_positions(record.computed_lens, s)
 
     if cfg.head == "token":
-        up = upstream.transpose(0, 2, 1).reshape(n * s, -1)
-        grads["head.weight"] = up.T @ o
+        up = _live_rows(upstream.transpose(0, 2, 1), live)
+        grads["head.weight"] = up.T @ record.out_rows
         grads["head.bias"] = up.sum(axis=0)
         dx = up @ params["head.weight"]
     else:
+        o3 = record.mixer_out.transpose(0, 2, 1)  # the (N, s, b) stream
         alpha, pooled = record.alpha, record.pooled
-        o3 = o.reshape(n, s, b)
         grads["head.weight"] = upstream.T @ pooled
         grads["head.bias"] = upstream.sum(axis=0)
         dpooled = upstream @ params["head.weight"]
         dalpha = np.matmul(o3, dpooled[:, :, None])[:, :, 0]
         dscores = alpha * (dalpha - (alpha * dalpha).sum(axis=1, keepdims=True))
-        grads["head.query"] = dscores.reshape(-1) @ o
+        grads["head.query"] = dscores.reshape(-1) @ o3.reshape(n * s, b)
         dx3 = alpha[:, :, None] * dpooled[:, None, :]
         dx3 += dscores[:, :, None] * params["head.query"]
-        dx = dx3.reshape(n * s, b)
+        dx = _live_rows(dx3, live)
 
     for k in reversed(range(cfg.depth)):
         prefix = f"mixer.{k}"
         cache = record.layers[k]
+        last_live, width = (live, span) if k == cfg.depth - 1 else (None, s)
 
-        # channel-mixing branch: y = u + mlp(ln2(u)) on the (N*s, b) stream
+        # channel-mixing branch: y = u + mlp(ln2(u)) on the rows of u
         n2 = cache.xhat2 * params[f"{prefix}.norm2.scale"]
         n2 += params[f"{prefix}.norm2.shift"]
         dn2 = _mlp_backward(dx, n2, cache.channel_mlp, params, f"{prefix}.channel_mlp", grads)
@@ -469,9 +549,10 @@ def backward_batch(
                                      params[f"{prefix}.norm2.scale"])
         )
         du += dx
+        du = _zero_padded(du, last_live, n, s)  # u's gradient on every row, 0 at padded ones
 
         # token-mixing branch: u = x + transpose(mlp(t1)), t1 = ln1(x) transposed to (N*b, s)
-        dm1 = _channels_first(du, n).reshape(n * b, s)
+        dm1 = _channels_first(du, n)[:, :, :width].reshape(n * b, width)
         t1 = _token_mlp_input(cache.xhat1, params[f"{prefix}.norm1.scale"],
                               params[f"{prefix}.norm1.shift"], n)
         dt1 = _mlp_backward(dm1, t1, cache.token_mlp, params, f"{prefix}.token_mlp", grads)
@@ -481,6 +562,8 @@ def backward_batch(
                                      params[f"{prefix}.norm1.scale"])
         )
         dx += du
+    if cfg.depth == 0:
+        dx = _zero_padded(dx, live, n, s)
 
     if token_input:
         grads["bottleneck.weight"] = _token_bottleneck_weight_grad(dx, *record.inputs)

@@ -214,7 +214,7 @@ def predict_batches(
 
     def predict(sel: slice) -> np.ndarray:
         logits, _ = forward_batch(_token_windows(featurizer, data, sel), data.valid[sel],
-                                  params, cfg)
+                                  params, cfg, live_only=True)
         return logits.argmax(axis=1)
 
     out: list[np.ndarray] = []
@@ -311,7 +311,7 @@ def train(
     def forward(sel: np.ndarray):
         with np.errstate(all="ignore"):  # errstate is per thread
             return forward_batch(_token_windows(featurizer, train_data, sel),
-                                 train_data.valid[sel], params, model_cfg)
+                                 train_data.valid[sel], params, model_cfg, live_only=True)
 
     def backward(record, upstream: np.ndarray) -> ModelParams:
         with np.errstate(all="ignore"):
@@ -340,6 +340,8 @@ def train(
                 for other in rest:  # the halves' gradients, added in order
                     for name, g in other.items():
                         grads[name] += g
+                # the halves' records go now, not after the next batch's forward or validation
+                del outputs, rest
                 params, state = adam_step(params, grads, state, train_cfg)
             counted = int((batch_labels != IGNORE_LABEL).sum())
             loss_sum += loss * counted

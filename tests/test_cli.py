@@ -819,6 +819,40 @@ class TestExitCodes:
         assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
         assert os.listdir(tmp_path) == ["out.fifo"]
 
+    @pytest.mark.parametrize("name", ["train_log.jsonl", "model.bin", "labels.json",
+                                      "config.json"])
+    def test_train_output_over_a_fifo_is_data_error(self, workspace, tmp_path, capsys, name):
+        # refused before training starts: nothing is written and nothing blocks on the FIFO
+        out = tmp_path / "run"
+        out.mkdir()
+        fifo = out / name
+        os.mkfifo(fifo)
+        self._exits_2_naming(capsys, ["train", "--config", workspace["config"],
+                                      "--out", str(out), "--quiet"], fifo, "not a regular file")
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert os.listdir(out) == [name]
+
+    @pytest.mark.parametrize("key", ["vocab", "cache"])
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_unreadable_run_config_path_names_the_config_and_key(
+            self, trained, workspace, tmp_path, capsys, monkeypatch, key, command):
+        # a relative path in a run's config.json is read from the working directory
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        for name in ("model.bin", "labels.json"):
+            with open(os.path.join(trained, name), "rb") as fh:
+                (run_dir / name).write_bytes(fh.read())
+        config = json.load(open(os.path.join(trained, "config.json"), encoding="utf-8"))
+        config["paths"][key] = os.path.join("data", f"missing.{key}")
+        (run_dir / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        argv = {"eval": ["eval", "--data", workspace["paths"]["val"]],
+                "predict": ["predict", "--text", "a b"]}[command]
+        self._exits_2_naming(capsys, argv + ["--model", str(run_dir / "model.bin")],
+                             run_dir / "config.json", f"paths.{key}", f"missing.{key}")
+
     @staticmethod
     def _exits_2_naming(capsys, argv, path, *names):
         assert run(argv) == 2

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -328,40 +329,48 @@ class TestForward:
             forward_batch(np.zeros((1, 12, 6)), np.array([0]), params, cfg)
 
 
+# valid lengths at s = 6 and their labels per head: one full-length example, or every
+# example shorter than the sequence, so that the batch's longest valid length is below s
+GRAD_CASES = {
+    (4, 6): ([[1, 0, 3, 2, -1, -1], [0, 1, 2, 3, 0, 1]], [2, 0]),
+    (4, 2, 1): ([[1, 0, 3, 2, -1, -1], [3, 1, -1, -1, -1, -1], [2, -1, -1, -1, -1, -1]],
+                [2, 0, 1]),
+}
+
+
 class TestBackward:
-    @pytest.mark.parametrize("head,depth", [("token", 0), ("token", 1), ("token", 2),
-                                            ("pooled", 0), ("pooled", 1), ("pooled", 2)])
-    def test_gradients_match_finite_differences(self, head, depth, rng):
+    @pytest.mark.parametrize("head,depth,valid", [
+        pytest.param(head, depth, valid, id=f"{head}-{depth}" + ("" if 6 in valid else "-short"))
+        for valid in GRAD_CASES for head in ("token", "pooled") for depth in (0, 1, 2)])
+    def test_gradients_match_finite_differences(self, head, depth, valid, rng):
         cfg = small_cfg(head=head, depth=depth, num_labels=4)
         params = init_params(cfg, seed=21)
-        data = rng.normal(size=(2, 12, 6))
-        valid = np.array([4, 6])
-        if head == "token":
-            labels = np.array([[1, 0, 3, 2, -1, -1], [0, 1, 2, 3, 0, 1]])
-        else:
-            labels = np.array([2, 0])
+        data = rng.normal(size=(len(valid), 12, 6))
+        labels = np.array(GRAD_CASES[valid][head == "pooled"])
+        valid = np.array(valid)
+        for live_only in (False, True):
 
-        def loss_fn():
-            logits, _ = forward_batch(data, valid, params, cfg)
-            return cross_entropy_masked(logits, labels, head=head)[0]
+            def loss_fn():
+                logits, _ = forward_batch(data, valid, params, cfg, live_only)
+                return cross_entropy_masked(logits, labels, head=head)[0]
 
-        logits, record = forward_batch(data, valid, params, cfg)
-        _, dlogits = cross_entropy_masked(logits, labels, head=head)
-        grads, input_grad = backward_batch(record, dlogits, params, cfg)
-        numeric = numeric_gradients(loss_fn, params)
-        assert max_rel_error(grads, numeric) < 1e-4
+            logits, record = forward_batch(data, valid, params, cfg, live_only)
+            _, dlogits = cross_entropy_masked(logits, labels, head=head)
+            grads, input_grad = backward_batch(record, dlogits, params, cfg)
+            numeric = numeric_gradients(loss_fn, params)
+            assert max_rel_error(grads, numeric) < 1e-4, live_only
 
-        flat, gflat = data.ravel(), input_grad.ravel()
-        h = 1e-4
-        for idx in range(0, flat.size, 7):
-            orig = flat[idx]
-            flat[idx] = orig + h
-            up = loss_fn()
-            flat[idx] = orig - h
-            down = loss_fn()
-            flat[idx] = orig
-            num = (up - down) / (2 * h)
-            assert abs(gflat[idx] - num) / max(abs(gflat[idx]), abs(num), 1e-6) < 1e-4
+            flat, gflat = data.ravel(), input_grad.ravel()
+            h = 1e-4
+            for idx in range(0, flat.size, 7):
+                orig = flat[idx]
+                flat[idx] = orig + h
+                up = loss_fn()
+                flat[idx] = orig - h
+                down = loss_fn()
+                flat[idx] = orig
+                num = (up - down) / (2 * h)
+                assert abs(gflat[idx] - num) / max(abs(gflat[idx]), abs(num), 1e-6) < 1e-4
 
     def test_zero_upstream_gives_zero_grads(self, rng):
         cfg = small_cfg()
@@ -425,8 +434,8 @@ class TestTokenInput:
     """Token windows give the dense path's logits and gradients."""
 
     @staticmethod
-    def run(inputs, valid, labels, params, cfg):
-        logits, record = forward_batch(inputs, valid, params, cfg)
+    def run(inputs, valid, labels, params, cfg, live_only=False):
+        logits, record = forward_batch(inputs, valid, params, cfg, live_only)
         _, dlogits = cross_entropy_masked(logits, labels, head=cfg.head)
         grads, _ = backward_batch(record, dlogits, params, cfg)
         return logits, grads
@@ -434,20 +443,24 @@ class TestTokenInput:
     @pytest.mark.parametrize("window", [0, 1])
     @pytest.mark.parametrize("head", ["token", "pooled"])
     @pytest.mark.parametrize("distinct", [True, False])
-    @pytest.mark.parametrize("valid", [(4, 6, 1), (6, 6)])  # padded, or no padding row at all
+    # padded, no padding row at all, or every example shorter than s = 6
+    @pytest.mark.parametrize("valid", [(4, 6, 1), (6, 6), (4, 2, 1)])
     def test_matches_dense_float64(self, window, head, distinct, valid, rng):
         windows, dense, valid = token_case(rng, window, distinct, valid=valid)
-        cfg = token_cfg(window, head)
-        params = init_params(cfg, seed=8)
         labels = case_labels(head, valid)
-        logits_t, grads_t = self.run(windows, valid, labels, params, cfg)
-        logits_d, grads_d = self.run(dense.astype(np.float64), valid, labels, params, cfg)
-        assert logits_t.dtype == np.float64
-        assert np.abs(logits_t - logits_d).max() <= 1e-12 * np.abs(logits_d).max()
-        assert grads_t.keys() == grads_d.keys()
-        for name in grads_d:
-            scale = np.abs(grads_d[name]).max()
-            assert np.abs(grads_t[name] - grads_d[name]).max() <= 1e-12 * scale, name
+        for depth, live_only in itertools.product((0, 1, 2), (False, True)):
+            cfg = token_cfg(window, head, depth=depth)
+            params = init_params(cfg, seed=8)
+            logits_t, grads_t = self.run(windows, valid, labels, params, cfg, live_only)
+            logits_d, grads_d = self.run(dense.astype(np.float64), valid, labels, params, cfg,
+                                         live_only)
+            assert logits_t.dtype == np.float64
+            assert np.abs(logits_t - logits_d).max() <= 1e-12 * np.abs(logits_d).max()
+            assert grads_t.keys() == grads_d.keys()
+            for name in grads_d:
+                scale = np.abs(grads_d[name]).max()
+                assert np.abs(grads_t[name] - grads_d[name]).max() <= 1e-12 * scale, (
+                    depth, live_only, name)
 
     @pytest.mark.parametrize("window", [0, 1])
     @pytest.mark.parametrize("head", ["token", "pooled"])
@@ -497,6 +510,59 @@ class TestTokenInput:
             forward_batch(windows, valid, params, token_cfg(0, "token"))
 
 
+class TestLiveRows:
+    """With ``live_only`` the last layer and the head compute only live positions."""
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    @pytest.mark.parametrize("form", ["dense", "token"])
+    @pytest.mark.parametrize("head", ["token", "pooled"])
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    def test_live_logits_equal_the_example_run_alone(self, depth, head, form, dtype, tol, rng):
+        windows, dense, valid = token_case(rng, 1, distinct=False, valid=(4, 6, 2, 1))
+        cfg = token_cfg(1, head, depth=depth)
+        params = {k: p.astype(dtype) for k, p in init_params(cfg, seed=8).items()}
+        logits, _ = forward_batch(windows if form == "token" else dense.astype(dtype),
+                                  valid, params, cfg, live_only=True)
+        assert logits.dtype == dtype
+        for i, v in enumerate(valid):
+            one = (TokenWindows(windows.table, windows.ids[i : i + 1]) if form == "token"
+                   else dense[i : i + 1].astype(dtype))
+            live = (slice(None), slice(0, v)) if head == "token" else slice(None)
+            for live_only in (False, True):  # every position computed, or only its live ones
+                alone, _ = forward_batch(one, valid[i : i + 1], params, cfg, live_only)
+                expected = alone[0][live]
+                assert np.abs(logits[i][live] - expected).max() <= tol * np.abs(expected).max(), (
+                    i, live_only)
+
+    @pytest.mark.parametrize("head", ["token", "pooled"])
+    @pytest.mark.parametrize("form", ["dense", "token"])
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    def test_padded_positions_are_zero(self, depth, form, head, rng):
+        windows, dense, valid = token_case(rng, 1, distinct=False, valid=(4, 2, 1))
+        cfg = token_cfg(1, head, depth=depth)
+        params = init_params(cfg, seed=8)
+        for name in params:  # nonzero biases, so that nothing is zero by accident
+            params[name] = params[name] + 0.1 * rng.standard_normal(params[name].shape)
+        logits, record = forward_batch(windows if form == "token" else dense.astype(np.float64),
+                                       valid, params, cfg, live_only=True)
+        for i, v in enumerate(valid):
+            assert not record.mixer_out[i, :, v:].any()
+            assert record.mixer_out[i, :, :v].all()
+            if head == "token":
+                assert not logits[i, :, v:].any()
+                assert logits[i, :, :v].all()
+        if depth:
+            # the last channel branch holds one row per live position
+            assert record.layers[-1].xhat2.shape == (valid.sum(), cfg.bottleneck)
+            _, dlogits = cross_entropy_masked(logits, case_labels(head, valid), head=head)
+            grads, _ = backward_batch(record, dlogits, params, cfg)
+            # the last token MLP's outputs past the longest example reach no live position
+            last = f"mixer.{depth - 1}.token_mlp"
+            assert not grads[f"{last}.w2"][valid.max():].any()
+            assert not grads[f"{last}.b2"][valid.max():].any()
+            assert grads[f"{last}.w2"][: valid.max()].any()
+
+
 class TestFloat32Network:
     """float32 (blocked rational erf) against float64 (math.erf) on the same parameters."""
 
@@ -512,17 +578,22 @@ class TestFloat32Network:
             inputs32 = inputs64 = windows
         else:
             inputs32, inputs64 = dense, dense.astype(np.float64)
-        logits32, grads32 = TestTokenInput.run(inputs32, valid, labels, params32, cfg)
-        logits64, grads64 = TestTokenInput.run(inputs64, valid, labels, params64, cfg)
-        assert logits32.dtype == np.float32 and logits64.dtype == np.float64
-        assert np.abs(logits32 - logits64).max() <= 1e-4 * np.abs(logits64).max()
-        for name in grads64:
-            assert grads32[name].dtype == np.float32, name
-            scale = np.abs(grads64[name]).max()
-            assert np.abs(grads32[name] - grads64[name]).max() <= 1e-4 * scale, name
+        for live_only in (False, True):
+            logits32, grads32 = TestTokenInput.run(inputs32, valid, labels, params32, cfg,
+                                                   live_only)
+            logits64, grads64 = TestTokenInput.run(inputs64, valid, labels, params64, cfg,
+                                                   live_only)
+            assert logits32.dtype == np.float32 and logits64.dtype == np.float64
+            assert np.abs(logits32 - logits64).max() <= 1e-4 * np.abs(logits64).max()
+            for name in grads64:
+                assert grads32[name].dtype == np.float32, name
+                scale = np.abs(grads64[name]).max()
+                assert np.abs(grads32[name] - grads64[name]).max() <= 1e-4 * scale, (
+                    live_only, name)
         # backward only reads the record: a second pass gives the same bytes
-        for inputs, params in ((inputs32, params32), (inputs64, params64)):
-            logits, record = forward_batch(inputs, valid, params, cfg)
+        for (inputs, params), live_only in itertools.product(
+                ((inputs32, params32), (inputs64, params64)), (False, True)):
+            logits, record = forward_batch(inputs, valid, params, cfg, live_only)
             _, dlogits = cross_entropy_masked(logits, labels, head=head)
             saved = [a.copy() for a in record_arrays(record)]
             first, _ = backward_batch(record, dlogits, params, cfg)

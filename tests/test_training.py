@@ -534,10 +534,10 @@ class TestBatchHalves:
                           hidden=8, depth=1, head="pooled", num_labels=len(inventory.labels))
         failing = []
 
-        def recording(inputs, valid, *args):
+        def recording(inputs, valid, *args, **kwargs):
             if np.any(valid < 1):
                 failing.append(threading.current_thread().name)
-            return forward_batch(inputs, valid, *args)
+            return forward_batch(inputs, valid, *args, **kwargs)
 
         monkeypatch.setattr(training, "forward_batch", recording)
         with pytest.raises(ValueError, match="at least one valid position"):
