@@ -49,6 +49,23 @@ clamped rational erf, ``z * P(z^2) / Q(z^2)`` with ``z`` clamped to
 applies ``math.erf`` per element: slow, but as precise as the float64
 gradient checks need. ``gelu_grad`` is blocked the same way in float32.
 
+Inference. ``forward_batch(..., record=False)``, which ``predict_batches``
+runs for validation, ``eval`` and ``predict``, keeps no
+:class:`ActivationRecord`: nothing a layer computes outlives the layer.
+Every MLP works through its rows in blocks of ``ERF_BLOCK // hidden`` rows.
+A block's first product goes into one reused buffer, GELU is applied there
+while it is in cache, and the second product writes the block's output
+rows. So no ``(rows, hidden)`` array is allocated: at an eval batch half,
+that is 8 MiB per token MLP at x-small and 32 MiB at base, which would be
+faulted in afresh on every pass after ``release_memory`` trims the heap.
+The recording forward runs the same blocks and writes each block's ``h``
+and ``Phi(h)`` into the record, so logits with and without a record are
+equal bit for bit. No block is shorter than ``ERF_BLOCK // hidden`` rows
+unless the whole MLP is, because OpenBLAS multiplies a few rows with
+another kernel whose rounding differs. At the presets' geometries the
+blocked products then equal whole-array ones bit for bit; at tiny ones
+(``seq_len`` 4, say) they may differ within rounding.
+
 Parameters and their gradients are flat ``{name: ndarray}`` dicts so the
 optimizer, serializer and quantizer can treat them uniformly. The math
 follows the dtype of the parameters and inputs and takes a leading batch
@@ -182,16 +199,19 @@ def _float32_blocks(out: np.ndarray, *arrays: np.ndarray):
         yield [f[lo : lo + ERF_BLOCK] for f in flats]
 
 
-def normal_cdf(x: np.ndarray) -> np.ndarray:
-    """Standard normal CDF, ``0.5 * (1 + erf(x / sqrt 2))``, elementwise.
+def normal_cdf(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Standard normal CDF, ``0.5 * (1 + erf(x / sqrt 2))``, elementwise, into ``out``
+    (a C-contiguous array of ``x``'s shape, float32 for float32 ``x``) if given.
 
     float32 input takes the blocked rational erf (within 2.4e-7 of the
     float64 value); any other dtype takes ``math.erf`` per element.
     """
     x = np.asarray(x)
+    if out is None:
+        out = np.empty(x.shape, dtype=np.float32 if x.dtype == np.float32 else np.float64)
     if x.dtype != np.float32:
-        return np.asarray(0.5 * (1.0 + _ERF64(x * _INV_SQRT2)), dtype=np.float64)
-    out = np.empty(x.shape, dtype=np.float32)
+        out[...] = 0.5 * (1.0 + _ERF64(x * _INV_SQRT2))
+        return out
     scratch = np.empty((3, min(x.size, ERF_BLOCK)), dtype=np.float32)
     for p, xb in _float32_blocks(out, x):
         z, z2, q = scratch[:, : len(p)]
@@ -341,15 +361,48 @@ def _token_residual(x: np.ndarray, m1: np.ndarray, n: int, live) -> np.ndarray:
     return u
 
 
-def _mlp(a: np.ndarray, params: ModelParams, prefix: str, width: int | None = None):
+def _row_blocks(rows: int, step: int):
+    """``(lo, hi)`` ranges of ``step`` rows, the last one also taking the remainder.
+
+    No block is shorter than ``step`` unless all rows are: OpenBLAS multiplies a
+    few rows with another kernel, whose rounding differs from the whole product's.
+    """
+    starts = range(0, max(rows - step, 0) + 1, step)
+    return zip(starts, [*starts[1:], rows])
+
+
+def _mlp(a: np.ndarray, params: ModelParams, prefix: str, width: int | None = None,
+         keep: bool = True):
     """``gelu(a @ w1.T + b1) @ w2.T + b2`` on the rows of ``a``, its first ``width`` outputs
-    (all by default), and the ``(h, Phi(h))`` kept."""
-    h = a @ params[f"{prefix}.w1"].T
-    h += params[f"{prefix}.b1"]
-    cdf = normal_cdf(h)
-    out = (h * cdf) @ params[f"{prefix}.w2"][:width].T
-    out += params[f"{prefix}.b2"][:width]
-    return out, (h, cdf)
+    (all by default), and with ``keep`` the ``(h, Phi(h))`` that backward reads, else None.
+
+    The rows run in blocks of about :data:`ERF_BLOCK` hidden values (see "Inference" in
+    the module docstring): each block's first product, GELU and second product run
+    while its hidden values are in cache. With ``keep`` each block's ``h`` and ``Phi(h)``
+    are written into the kept arrays; without it they live in two reused block buffers,
+    so no ``(rows, hidden)`` array is allocated. Either way the same products run on the
+    same blocks, so the output is the same bit for bit.
+    """
+    w1, b1 = params[f"{prefix}.w1"], params[f"{prefix}.b1"]
+    w2, b2 = params[f"{prefix}.w2"][:width], params[f"{prefix}.b2"][:width]
+    rows, hidden = len(a), len(w1)
+    dtype = np.result_type(a, w1)
+    step = max(ERF_BLOCK // hidden, 1)
+    out = np.empty((rows, len(w2)), dtype=dtype)
+    saved = (np.empty((rows, hidden), dtype), np.empty((rows, hidden), dtype)) if keep else None
+    g = np.empty((min(rows, 2 * step - 1), hidden), dtype)  # one block's gelu(h)
+    # where h and Phi(h) go: the kept arrays' block rows, else two reused block buffers
+    h_rows, cdf_rows = saved if keep else (g, np.empty_like(g))
+    for lo, hi in _row_blocks(rows, step):
+        at = slice(lo, hi) if keep else slice(0, hi - lo)
+        h = h_rows[at]
+        np.matmul(a[lo:hi], w1.T, out=h)
+        h += b1
+        cdf = normal_cdf(h, out=cdf_rows[at])
+        np.multiply(h, cdf, out=g[: hi - lo])
+        np.matmul(g[: hi - lo], w2.T, out=out[lo:hi])
+    out += b2
+    return out, saved
 
 
 def _mlp_backward(d, a, saved, params: ModelParams, prefix: str, grads: ModelParams):
@@ -417,19 +470,48 @@ def _token_bottleneck_weight_grad(
     return np.concatenate(blocks, axis=1)
 
 
+def _mixer_layer(x: np.ndarray, params: ModelParams, prefix: str, n: int, live, width: int,
+                 keep: bool) -> tuple[np.ndarray, _LayerCache | None]:
+    """One mixer layer on the ``(N*s, b)`` stream ``x``: its output at the ``live`` rows
+    (every row when ``None``) from token outputs up to ``width``, and with ``keep`` the
+    :class:`_LayerCache` that backward reads, else None."""
+    # token-mixing branch on the (N*b, s) transpose of ln1(x)
+    xhat1, inv_std1 = _normalize_rows(x)
+    t1 = _token_mlp_input(xhat1, params[f"{prefix}.norm1.scale"],
+                          params[f"{prefix}.norm1.shift"], n)
+    m1, token_saved = _mlp(t1, params, f"{prefix}.token_mlp", width, keep)
+    u = _token_residual(x, m1, n, live)
+
+    # channel-mixing branch: y = u + mlp(ln2(u)) on the rows of u
+    xhat2, inv_std2 = _normalize_rows(u)
+    n2 = xhat2 * params[f"{prefix}.norm2.scale"]
+    n2 += params[f"{prefix}.norm2.shift"]
+    y, channel_saved = _mlp(n2, params, f"{prefix}.channel_mlp", keep=keep)
+    y += u
+    if not keep:
+        return y, None
+    return y, _LayerCache(xhat1=xhat1, inv_std1=inv_std1, token_mlp=token_saved,
+                          xhat2=xhat2, inv_std2=inv_std2, channel_mlp=channel_saved)
+
+
 def forward_batch(
     inputs: np.ndarray | TokenWindows,
     valid_lens: np.ndarray,
     params: ModelParams,
     cfg: ModelConfig,
     live_only: bool = False,
-) -> tuple[np.ndarray, ActivationRecord]:
+    record: bool = True,
+) -> tuple[np.ndarray, ActivationRecord | None]:
     """Run the network on a dense (batch, input_rows, seq_len) tensor or on token windows.
 
     Position ``t`` of example ``n`` is live when ``t < valid_lens[n]``. By default every
     position is computed. With ``live_only`` the last layer and the head compute only the
     live positions, and token-head logits and the record's ``mixer_out`` are exactly 0 at
     padded ones (see "Padding" in the module docstring); live logits are the same.
+
+    The second value is the :class:`ActivationRecord` that :func:`backward_batch` reads.
+    With ``record=False`` it is None: no activation is kept, each layer's temporaries go
+    when the layer ends, and the logits are the same bit for bit (see "Inference").
     """
     if isinstance(inputs, TokenWindows):
         x, saved = _token_bottleneck(inputs, params, cfg)
@@ -453,52 +535,33 @@ def forward_batch(
     span, live = _live_positions(computed, s)
     layers: list[_LayerCache] = []
     for k in range(cfg.depth):
-        prefix = f"mixer.{k}"
         # the last layer keeps only the live rows, after mixing in token outputs up to span
         last_live, width = (live, span) if k == cfg.depth - 1 else (None, s)
-        # token-mixing branch on the (N*b, s) transpose of ln1(x)
-        xhat1, inv_std1 = _normalize_rows(x)
-        t1 = _token_mlp_input(xhat1, params[f"{prefix}.norm1.scale"],
-                              params[f"{prefix}.norm1.shift"], n)
-        m1, token_saved = _mlp(t1, params, f"{prefix}.token_mlp", width)
-        u = _token_residual(x, m1, n, last_live)
-
-        # channel-mixing branch: y = u + mlp(ln2(u)) on the rows of u
-        xhat2, inv_std2 = _normalize_rows(u)
-        n2 = xhat2 * params[f"{prefix}.norm2.scale"]
-        n2 += params[f"{prefix}.norm2.shift"]
-        y, channel_saved = _mlp(n2, params, f"{prefix}.channel_mlp")
-        y += u
-
-        layers.append(
-            _LayerCache(xhat1=xhat1, inv_std1=inv_std1, token_mlp=token_saved,
-                        xhat2=xhat2, inv_std2=inv_std2, channel_mlp=channel_saved)
-        )
-        x = y
+        x, cache = _mixer_layer(x, params, f"mixer.{k}", n, last_live, width, record)
+        layers.append(cache)
     if cfg.depth == 0:
         x = _live_rows(x.reshape(n, s, b), live)
 
-    record = ActivationRecord(inputs=saved, seq_len=s, computed_lens=computed, out_rows=x,
-                              layers=layers)
-
+    alpha = pooled = None
     if cfg.head == "token":
         logits = x @ params["head.weight"].T
         logits += params["head.bias"]
-        return _channels_first(_zero_padded(logits, live, n, s), n), record
-
-    # rows not computed are 0, finite, so their weight 0 keeps the pooled sum exact
-    x3 = _zero_padded(x, live, n, s).reshape(n, s, b)
-    mask = np.arange(s)[None, :] < valid[:, None]
-    scores = x3 @ params["head.query"]
-    scores = np.where(mask, scores, -np.inf)
-    scores -= scores.max(axis=1, keepdims=True)
-    exps = np.where(mask, np.exp(scores), 0.0)
-    alpha = exps / exps.sum(axis=1, keepdims=True)
-    pooled = np.matmul(alpha[:, None, :], x3)[:, 0]
-    logits = pooled @ params["head.weight"].T + params["head.bias"]
-    record.alpha = alpha
-    record.pooled = pooled
-    return logits, record
+        logits = _channels_first(_zero_padded(logits, live, n, s), n)
+    else:
+        # rows not computed are 0, finite, so their weight 0 keeps the pooled sum exact
+        x3 = _zero_padded(x, live, n, s).reshape(n, s, b)
+        mask = np.arange(s)[None, :] < valid[:, None]
+        scores = x3 @ params["head.query"]
+        scores = np.where(mask, scores, -np.inf)
+        scores -= scores.max(axis=1, keepdims=True)
+        exps = np.where(mask, np.exp(scores), 0.0)
+        alpha = exps / exps.sum(axis=1, keepdims=True)
+        pooled = np.matmul(alpha[:, None, :], x3)[:, 0]
+        logits = pooled @ params["head.weight"].T + params["head.bias"]
+    if not record:
+        return logits, None
+    return logits, ActivationRecord(inputs=saved, seq_len=s, computed_lens=computed,
+                                    out_rows=x, layers=layers, alpha=alpha, pooled=pooled)
 
 
 def backward_batch(

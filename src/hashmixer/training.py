@@ -214,7 +214,7 @@ def predict_batches(
 
     def predict(sel: slice) -> np.ndarray:
         logits, _ = forward_batch(_token_windows(featurizer, data, sel), data.valid[sel],
-                                  params, cfg, live_only=True)
+                                  params, cfg, live_only=True, record=False)
         return logits.argmax(axis=1)
 
     out: list[np.ndarray] = []

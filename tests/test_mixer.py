@@ -1,17 +1,20 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hashmixer import mixer
 from hashmixer.config import build_run_config
 from hashmixer.mixer import (
     ERF_BLOCK,
     ModelConfig,
     _normalize_rows,
+    _row_blocks,
     backward_batch,
     count_parameters,
     forward_batch,
@@ -561,6 +564,77 @@ class TestLiveRows:
             assert not grads[f"{last}.w2"][valid.max():].any()
             assert not grads[f"{last}.b2"][valid.max():].any()
             assert grads[f"{last}.w2"][: valid.max()].any()
+
+
+class TestInference:
+    """``record=False`` keeps no activations and runs each MLP in row blocks: same logits."""
+
+    @pytest.mark.parametrize("rows,step", [(0, 5), (1, 5), (4, 5), (5, 5), (9, 5), (10, 5),
+                                           (24, 5), (32, 5), (8192, 256), (7, 1)])
+    def test_row_blocks_cover_the_rows_in_blocks_of_step_or_more(self, rows, step):
+        blocks = list(_row_blocks(rows, step))
+        assert blocks[0][0] == 0 and blocks[-1][1] == rows
+        assert all(hi == lo for (_, hi), (lo, _) in zip(blocks, blocks[1:]))
+        sizes = [hi - lo for lo, hi in blocks]
+        if rows < step:
+            assert sizes == [rows]
+        else:  # none shorter than step, so none takes a few-row kernel of its own
+            assert all(step <= size < 2 * step for size in sizes)
+            assert sizes[:-1] == [step] * (len(sizes) - 1)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("form", ["dense", "token"])
+    @pytest.mark.parametrize("head", ["token", "pooled"])
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    def test_unrecorded_logits_equal_recorded_bit_for_bit(self, depth, head, form, dtype, rng,
+                                                          monkeypatch):
+        # 5-row blocks at hidden 8: the 4-example batch's token MLPs run 32 rows as
+        # 5+5+5+5+5+7, its channel MLPs 24 rows as 5+5+5+9 (13 live rows as 5+8)
+        monkeypatch.setattr(mixer, "ERF_BLOCK", 40)
+        cfg = token_cfg(1, head, depth=depth)
+        params = {k: p.astype(dtype) for k, p in init_params(cfg, seed=8).items()}
+        for name in params:  # nonzero biases, so that a skipped bias shows
+            params[name] = params[name] + dtype(0.1) * rng.standard_normal(
+                params[name].shape).astype(dtype)
+        for valid in ((4, 6, 2, 1), (3,)):
+            windows, dense, valid = token_case(rng, 1, distinct=False, valid=valid)
+            inputs = windows if form == "token" else dense.astype(dtype)
+            for live_only in (False, True):
+                recorded, record = forward_batch(inputs, valid, params, cfg, live_only)
+                bare, none = forward_batch(inputs, valid, params, cfg, live_only, record=False)
+                assert record is not None and none is None
+                assert bare.dtype == recorded.dtype == dtype
+                assert bare.tobytes() == recorded.tobytes(), (valid, live_only)
+
+    def test_unrecorded_forward_allocates_no_full_hidden_array(self):
+        # N=32 examples, s=8, b=256, hidden=256: each token MLP runs N*b = 8192 rows
+        n, s, b, hidden, m = 32, 8, 256, 256, 16
+        cfg = ModelConfig(input_rows=m, seq_len=s, bottleneck=b, hidden=hidden, depth=2,
+                          head="token", num_labels=5)
+        params = {k: p.astype(np.float32) for k, p in init_params(cfg, seed=0).items()}
+        rng = np.random.default_rng(0)
+        table = np.vstack([np.zeros((1, m)), rng.random((50, m))]).astype(np.float32)
+        windows = TokenWindows(table, rng.integers(1, 51, size=(n, 1, s)))
+        valid = np.full(n, s)
+        full = n * b * hidden * 4  # bytes of one (N*b, hidden) float32 array
+
+        def traced(record):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                logits, rec = forward_batch(windows, valid, params, cfg, record=record)
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return logits, rec, current - start, peak - start
+
+        bare, none, _, peak = traced(False)
+        assert none is None
+        assert peak < full  # no such array existed at any point of the forward
+        recorded, record, held, _ = traced(True)
+        assert held >= 4 * full  # h and Phi(h) of both layers' token MLPs
+        assert record.layers[0].token_mlp[0].shape == (n * b, hidden)
+        assert bare.tobytes() == recorded.tobytes()
 
 
 class TestFloat32Network:

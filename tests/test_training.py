@@ -504,6 +504,26 @@ class TestBatchHalves:
         for a, b in zip(preds[1], preds[2]):
             assert np.array_equal(a, b)
 
+    def test_predictions_keep_no_activation_record(self, small_task, monkeypatch):
+        task, vocab, proj = small_task
+        inventory = LabelInventory.from_examples(task.val, "slots")
+        featurizer = SequenceFeaturizer(vocab, proj)
+        data = encode_dataset(task.val[:9], featurizer, inventory, "token")
+        cfg = ModelConfig(input_rows=proj.input_rows, seq_len=proj.max_seq_len, bottleneck=8,
+                          hidden=8, depth=1, head="token", num_labels=len(inventory.labels))
+        calls = []
+
+        def recording(inputs, valid, *args, **kwargs):
+            logits, record = forward_batch(inputs, valid, *args, **kwargs)
+            calls.append((len(valid), kwargs.get("record"), record))
+            return logits, record
+
+        monkeypatch.setattr(training, "forward_batch", recording)
+        training.predict_batches(data, featurizer, init_params(cfg, seed=0), cfg)
+        # both halves of the 9-example batch, each asking for no record and getting none
+        assert sorted(c[0] for c in calls) == [4, 5]
+        assert all(record is False and kept is None for _, record, kept in calls)
+
     def test_blas_thread_count_is_restored_after_a_step(
         self, small_task, monkeypatch, blas_at_two
     ):
