@@ -58,13 +58,15 @@ while it is in cache, and the second product writes the block's output
 rows. So no ``(rows, hidden)`` array is allocated: at an eval batch half,
 that is 8 MiB per token MLP at x-small and 32 MiB at base, which would be
 faulted in afresh on every pass after ``release_memory`` trims the heap.
-The recording forward runs the same blocks and writes each block's ``h``
-and ``Phi(h)`` into the record, so logits with and without a record are
-equal bit for bit. No block is shorter than ``ERF_BLOCK // hidden`` rows
-unless the whole MLP is, because OpenBLAS multiplies a few rows with
-another kernel whose rounding differs. At the presets' geometries the
-blocked products then equal whole-array ones bit for bit; at tiny ones
-(``seq_len`` 4, say) they may differ within rounding.
+The recording forward runs the same blocks and, while a block is in cache,
+writes its ``gelu(h)`` and ``gelu'(h)`` into the record, so logits with and
+without a record are equal bit for bit, and backward makes no GELU pass: it
+reads the record and allocates no ``(rows, hidden)`` array but ``dh``. No
+block is shorter than ``ERF_BLOCK // hidden`` rows unless the whole MLP
+is, because OpenBLAS multiplies a few rows with another kernel whose
+rounding differs. At the presets' geometries the blocked products then
+equal whole-array ones bit for bit; at tiny ones (``seq_len`` 4, say) they
+may differ within rounding.
 
 Parameters and their gradients are flat ``{name: ndarray}`` dicts so the
 optimizer, serializer and quantizer can treat them uniformly. The math
@@ -236,11 +238,17 @@ def normal_cdf(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def gelu_grad(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
-    """d/dx GELU at ``x``, given the forward pass's ``cdf = Phi(x)``."""
-    if np.result_type(x, cdf) != np.float32:
-        return cdf + x * np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-    out = np.empty(np.shape(x), dtype=np.float32)
+def gelu_grad(x: np.ndarray, cdf: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """d/dx GELU at ``x``, given the forward pass's ``cdf = Phi(x)``, into ``out`` (a
+    C-contiguous array of ``x``'s shape and dtype) if given.
+
+    The recording forward calls it on each row block of an MLP's hidden values while the
+    block is in cache, so backward reads ``gelu'(h)`` and makes no GELU pass of its own.
+    """
+    if out is None:
+        out = np.empty(np.shape(x), dtype=np.result_type(x, cdf))
+    if out.dtype != np.float32:
+        return np.add(cdf, x * np.exp(-0.5 * x * x) * _INV_SQRT_2PI, out=out)
     for d, xb, cb in _float32_blocks(out, x, cdf):
         np.multiply(xb, np.float32(-0.5), out=d)
         d *= xb
@@ -260,12 +268,19 @@ def _normalize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _normalize_rows_backward(dy, xhat, inv_std, scale):
-    """Gradients of ``xhat * scale + shift`` with respect to the rows, scale and shift."""
-    dscale = (dy * xhat).sum(axis=0)
+    """Gradients of ``xhat * scale + shift`` with respect to the rows, scale and shift.
+
+    Two row-sized arrays: ``dx`` starts as ``dxhat = dy * scale`` and is made in place,
+    and one scratch array ``t`` holds each product that is summed or subtracted."""
+    t = dy * xhat
+    dscale = t.sum(axis=0)
     dshift = dy.sum(axis=0)
-    dxhat = dy * scale
-    dx = dxhat - dxhat.mean(axis=1, keepdims=True)
-    dx -= xhat * ((dxhat * xhat).sum(axis=1, keepdims=True) / xhat.shape[1])
+    dx = dy * scale
+    np.multiply(dx, xhat, out=t)
+    c = t.sum(axis=1, keepdims=True) / xhat.shape[1]
+    dx -= dx.mean(axis=1, keepdims=True)
+    np.multiply(xhat, c, out=t)
+    dx -= t
     dx *= inv_std
     return dx, dscale, dshift
 
@@ -273,8 +288,8 @@ def _normalize_rows_backward(dy, xhat, inv_std, scale):
 @dataclass
 class _LayerCache:
     """What one mixer layer's backward reads: each layer norm's ``xhat`` and ``inv_std``, and
-    each MLP's ``(h, Phi(h))`` from :func:`_mlp`. ``gelu(h) = h * Phi(h)`` is not kept:
-    backward redoes that one multiply, bit for bit, so the record must not be changed in place.
+    each MLP's ``(gelu(h), gelu'(h))`` from :func:`_mlp`'s row blocks. ``h`` and ``Phi(h)``
+    are not kept: backward needs only these two, and makes no GELU pass of its own.
     """
 
     xhat1: np.ndarray
@@ -374,13 +389,15 @@ def _row_blocks(rows: int, step: int):
 def _mlp(a: np.ndarray, params: ModelParams, prefix: str, width: int | None = None,
          keep: bool = True):
     """``gelu(a @ w1.T + b1) @ w2.T + b2`` on the rows of ``a``, its first ``width`` outputs
-    (all by default), and with ``keep`` the ``(h, Phi(h))`` that backward reads, else None.
+    (all by default), and with ``keep`` the ``(gelu(h), gelu'(h))`` that backward reads,
+    else None.
 
     The rows run in blocks of about :data:`ERF_BLOCK` hidden values (see "Inference" in
     the module docstring): each block's first product, GELU and second product run
-    while its hidden values are in cache. With ``keep`` each block's ``h`` and ``Phi(h)``
-    are written into the kept arrays; without it they live in two reused block buffers,
-    so no ``(rows, hidden)`` array is allocated. Either way the same products run on the
+    while its hidden values are in cache. A block's ``h`` and ``Phi(h)`` live in two
+    reused block buffers. Without ``keep``, ``gelu(h)`` overwrites ``h`` there, so no
+    ``(rows, hidden)`` array is allocated; with it, ``gelu(h)`` and ``gelu'(h)`` are
+    written into the kept arrays' block rows. Either way the same products run on the
     same blocks, so the output is the same bit for bit.
     """
     w1, b1 = params[f"{prefix}.w1"], params[f"{prefix}.b1"]
@@ -390,34 +407,36 @@ def _mlp(a: np.ndarray, params: ModelParams, prefix: str, width: int | None = No
     step = max(ERF_BLOCK // hidden, 1)
     out = np.empty((rows, len(w2)), dtype=dtype)
     saved = (np.empty((rows, hidden), dtype), np.empty((rows, hidden), dtype)) if keep else None
-    g = np.empty((min(rows, 2 * step - 1), hidden), dtype)  # one block's gelu(h)
-    # where h and Phi(h) go: the kept arrays' block rows, else two reused block buffers
-    h_rows, cdf_rows = saved if keep else (g, np.empty_like(g))
+    h_block = np.empty((min(rows, 2 * step - 1), hidden), dtype)
+    cdf_block = np.empty_like(h_block)
     for lo, hi in _row_blocks(rows, step):
-        at = slice(lo, hi) if keep else slice(0, hi - lo)
-        h = h_rows[at]
+        h = h_block[: hi - lo]
         np.matmul(a[lo:hi], w1.T, out=h)
         h += b1
-        cdf = normal_cdf(h, out=cdf_rows[at])
-        np.multiply(h, cdf, out=g[: hi - lo])
-        np.matmul(g[: hi - lo], w2.T, out=out[lo:hi])
+        cdf = normal_cdf(h, out=cdf_block[: hi - lo])
+        if keep:
+            gelu_grad(h, cdf, out=saved[1][lo:hi])
+        g = np.multiply(h, cdf, out=saved[0][lo:hi] if keep else h)
+        np.matmul(g, w2.T, out=out[lo:hi])
     out += b2
     return out, saved
 
 
 def _mlp_backward(d, a, saved, params: ModelParams, prefix: str, grads: ModelParams):
     """Store :func:`_mlp`'s weight gradients for the gradient ``d`` of its first
-    ``d.shape[1]`` outputs, the rows of later outputs being zero; return ``a``'s."""
-    h, cdf = saved
+    ``d.shape[1]`` outputs, the rows of later outputs being zero; return ``a``'s.
+
+    ``saved`` is the forward's ``(gelu(h), gelu'(h))``, only read: no GELU pass runs here."""
+    g, gp = saved
     w2 = params[f"{prefix}.w2"][: d.shape[1]]
-    grads[f"{prefix}.w2"] = d.T @ (h * cdf)
+    grads[f"{prefix}.w2"] = d.T @ g
     grads[f"{prefix}.b2"] = d.sum(axis=0)
     pad = len(params[f"{prefix}.w2"]) - len(w2)
     if pad:
         grads[f"{prefix}.w2"] = np.pad(grads[f"{prefix}.w2"], ((0, pad), (0, 0)))
         grads[f"{prefix}.b2"] = np.pad(grads[f"{prefix}.b2"], (0, pad))
     dh = d @ w2
-    dh *= gelu_grad(h, cdf)
+    dh *= gp
     grads[f"{prefix}.w1"] = dh.T @ a
     grads[f"{prefix}.b1"] = dh.sum(axis=0)
     return dh @ params[f"{prefix}.w1"]

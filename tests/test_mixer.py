@@ -215,6 +215,17 @@ class TestFloat32Gelu:
         if size:
             assert np.abs(cdf - self.exact_cdf(x)).max() <= self.CDF_TOL
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_grad_into_out_equals_a_fresh_result(self, dtype, rng):
+        x = rng.normal(scale=3.0, size=(70, 40)).astype(dtype)
+        view = x.T[::2]
+        assert not view.flags.c_contiguous
+        for arg in (x, view):
+            cdf = normal_cdf(arg)
+            out = np.empty(arg.shape, dtype=dtype)
+            assert gelu_grad(arg, cdf, out=out) is out
+            assert out.tobytes() == gelu_grad(arg, cdf).tobytes()
+
     def test_gelu_grad_matches_float64_formula(self):
         x = np.linspace(-10.0, 10.0, 100_001, dtype=np.float32)
         x64 = x.astype(np.float64)
@@ -566,6 +577,31 @@ class TestLiveRows:
             assert grads[f"{last}.w2"][: valid.max()].any()
 
 
+def wide_case():
+    """N=32 examples, s=8, b=256, hidden=256 in float32, so that each token MLP runs
+    N*b = 8192 rows; also the bytes of one such ``(N*b, hidden)`` array."""
+    n, s, b, hidden, m = 32, 8, 256, 256, 16
+    cfg = ModelConfig(input_rows=m, seq_len=s, bottleneck=b, hidden=hidden, depth=2,
+                      head="token", num_labels=5)
+    params = {k: p.astype(np.float32) for k, p in init_params(cfg, seed=0).items()}
+    rng = np.random.default_rng(0)
+    table = np.vstack([np.zeros((1, m)), rng.random((50, m))]).astype(np.float32)
+    windows = TokenWindows(table, rng.integers(1, 51, size=(n, 1, s)))
+    return cfg, params, windows, np.full(n, s), n * b * hidden * 4
+
+
+def traced_memory(fn, *args, **kwargs):
+    """``fn``'s result, and the bytes it left allocated and its peak, under ``tracemalloc``."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn(*args, **kwargs)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, current - start, peak - start
+
+
 class TestInference:
     """``record=False`` keeps no activations and runs each MLP in row blocks: same logits."""
 
@@ -607,34 +643,61 @@ class TestInference:
                 assert bare.tobytes() == recorded.tobytes(), (valid, live_only)
 
     def test_unrecorded_forward_allocates_no_full_hidden_array(self):
-        # N=32 examples, s=8, b=256, hidden=256: each token MLP runs N*b = 8192 rows
-        n, s, b, hidden, m = 32, 8, 256, 256, 16
-        cfg = ModelConfig(input_rows=m, seq_len=s, bottleneck=b, hidden=hidden, depth=2,
-                          head="token", num_labels=5)
-        params = {k: p.astype(np.float32) for k, p in init_params(cfg, seed=0).items()}
-        rng = np.random.default_rng(0)
-        table = np.vstack([np.zeros((1, m)), rng.random((50, m))]).astype(np.float32)
-        windows = TokenWindows(table, rng.integers(1, 51, size=(n, 1, s)))
-        valid = np.full(n, s)
-        full = n * b * hidden * 4  # bytes of one (N*b, hidden) float32 array
+        cfg, params, windows, valid, full = wide_case()
+        n, b, hidden = len(valid), cfg.bottleneck, cfg.hidden
 
         def traced(record):
-            tracemalloc.start()
-            try:
-                start = tracemalloc.get_traced_memory()[0]
-                logits, rec = forward_batch(windows, valid, params, cfg, record=record)
-                current, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            return logits, rec, current - start, peak - start
+            return traced_memory(forward_batch, windows, valid, params, cfg, record=record)
 
-        bare, none, _, peak = traced(False)
+        (bare, none), _, peak = traced(False)
         assert none is None
         assert peak < full  # no such array existed at any point of the forward
-        recorded, record, held, _ = traced(True)
-        assert held >= 4 * full  # h and Phi(h) of both layers' token MLPs
+        (recorded, record), held, _ = traced(True)
+        assert held >= 4 * full  # gelu(h) and gelu'(h) of both layers' token MLPs
         assert record.layers[0].token_mlp[0].shape == (n * b, hidden)
         assert bare.tobytes() == recorded.tobytes()
+
+
+class TestRecord:
+    """The recording forward keeps each MLP's ``gelu(h)`` and ``gelu'(h)``; backward reads them."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("head", ["token", "pooled"])
+    def test_mlp_pairs_are_gelu_and_its_derivative_bit_for_bit(self, head, dtype, rng):
+        cfg = token_cfg(1, head)  # every MLP's rows fit in one block
+        params = {k: p.astype(dtype) for k, p in init_params(cfg, seed=8).items()}
+        for name in params:
+            params[name] = params[name] + dtype(0.1) * rng.standard_normal(
+                params[name].shape).astype(dtype)
+        windows, _, valid = token_case(rng, 1, distinct=False)
+        for live_only in (False, True):
+            _, record = forward_batch(windows, valid, params, cfg, live_only)
+            for k, cache in enumerate(record.layers):
+                prefix = f"mixer.{k}"
+                t1 = mixer._token_mlp_input(cache.xhat1, params[f"{prefix}.norm1.scale"],
+                                            params[f"{prefix}.norm1.shift"], len(valid))
+                n2 = cache.xhat2 * params[f"{prefix}.norm2.scale"]
+                n2 += params[f"{prefix}.norm2.shift"]
+                for mlp, a in (("token_mlp", t1), ("channel_mlp", n2)):
+                    assert len(a) * cfg.hidden <= ERF_BLOCK
+                    h = a @ params[f"{prefix}.{mlp}.w1"].T
+                    h += params[f"{prefix}.{mlp}.b1"]
+                    cdf = normal_cdf(h)
+                    g, gp = getattr(cache, mlp)
+                    assert g.dtype == gp.dtype == dtype
+                    assert g.tobytes() == (h * cdf).tobytes(), (live_only, k, mlp)
+                    assert gp.tobytes() == gelu_grad(h, cdf).tobytes(), (live_only, k, mlp)
+
+    def test_backward_allocates_under_two_full_hidden_arrays(self):
+        cfg, params, windows, valid, full = wide_case()
+        logits, record = forward_batch(windows, valid, params, cfg)
+        labels = np.random.default_rng(1).integers(0, cfg.num_labels,
+                                                   size=(len(valid), cfg.seq_len))
+        _, dlogits = cross_entropy_masked(logits, labels, head=cfg.head)
+        (grads, _), _, peak = traced_memory(backward_batch, record, dlogits, params, cfg)
+        # a token MLP's dh; no gelu(h) or gelu'(h) is recomputed beside it
+        assert peak < 2 * full
+        assert grads["mixer.0.token_mlp.w1"].dtype == np.float32
 
 
 class TestFloat32Network:
