@@ -16,6 +16,15 @@ Each listing line is ``<sha256>  <run>/<output>``: ``model.bin``,
 its ``wallclock_seconds`` field, and the stdout of each ``eval`` and
 ``predict`` call. Every command runs inside ``--out`` with relative paths, so
 the listing does not depend on where the trees are.
+
+Before the CLI runs, one process runs the network itself on a fixed tiny
+batch: ``forward_batch`` and ``backward_batch`` on dense and token-window
+input, with the token and the pooled head, in float64 and float32, with
+``live_only`` off and on. Its lines are ``<sha256>  mixer/<case>/<output>``
+for the logits, the logits of ``forward_batch(..., record=False)``, the
+parameter gradients and the dense input's gradient. The hidden width (512)
+splits each token MLP's 288 rows into two row blocks of 128 and 160 rows,
+so the last block's GELU runs over more than ``ERF_BLOCK`` elements.
 """
 
 import argparse
@@ -39,6 +48,46 @@ for name, examples in (("train", task.train), ("val", task.val)):
             fh.write(json.dumps(row) + "\\n")
 """
 
+# the network on one fixed batch, run by the tree under test; window 1, so 3 slots of 8 features
+MIXER = """
+import hashlib, itertools
+import numpy as np
+from hashmixer.mixer import ModelConfig, backward_batch, forward_batch, init_params
+from hashmixer.projection import TokenWindows
+
+def digest(arrays):
+    h = hashlib.sha256()
+    for name, a in arrays:
+        h.update(f"{name} {a.dtype} {a.shape}\\n".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+rng = np.random.default_rng(3)
+n, slots, m, s = 6, 3, 8, 16
+valid = np.array([16, 3, 9, 1, 12, 5])
+table = np.vstack([np.zeros((1, m)), rng.integers(0, 4, size=(40, m))]).astype(np.float32)
+ids = rng.integers(1, len(table), size=(n, slots, s)) * (np.arange(s) < valid[:, None, None])
+windows = TokenWindows(table=table, ids=ids)
+dense = np.concatenate([table[ids[:, j]].transpose(0, 2, 1) for j in range(slots)], axis=1)
+for head, dtype, form, live_only in itertools.product(
+        ("token", "pooled"), ("float64", "float32"), ("dense", "token"), (False, True)):
+    cfg = ModelConfig(input_rows=slots * m, seq_len=s, bottleneck=48, hidden=512, depth=2,
+                      head=head, num_labels=5)
+    params = {k: v.astype(dtype) for k, v in init_params(cfg, seed=9).items()}
+    inputs = dense.astype(dtype) if form == "dense" else windows
+    logits, record = forward_batch(inputs, valid, params, cfg, live_only=live_only)
+    unrecorded, _ = forward_batch(inputs, valid, params, cfg, live_only, record=False)
+    upstream = np.random.default_rng(4).normal(size=logits.shape).astype(dtype)
+    grads, input_grad = backward_batch(record, upstream, params, cfg)
+    case = f"mixer/{form}-{head}-{dtype}" + ("-live-only" if live_only else "")
+    outputs = {"logits": [("logits", logits)], "unrecorded logits": [("logits", unrecorded)],
+               "gradients": sorted(grads.items())}
+    if input_grad is not None:
+        outputs["input gradient"] = [("input", input_grad)]
+    for name, arrays in outputs.items():
+        print(f"{digest(arrays)}  {case}/{name}")
+"""
+
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__,
@@ -59,6 +108,7 @@ def main() -> None:
     if not package.startswith(src + os.sep):
         sys.exit(f"hashmixer imports from {package}, not from {src}")
 
+    sys.stdout.write(call("-c", MIXER).decode())
     data = os.path.join(args.out, "data")
     os.makedirs(data, exist_ok=True)
     call("-c", MAKE_DATA, cwd=data)

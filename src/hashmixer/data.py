@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .files import read_text
+from .files import read_text, replacing
 from .vocab import DEFAULT_UNK
 
 
@@ -109,14 +109,15 @@ def load_jsonl(path: str) -> list[Example]:
 
 
 def save_jsonl(examples: list[Example], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write ``examples`` as UTF-8 JSON lines, replacing ``path`` only once all are written."""
+    with replacing(path) as fh:
         for ex in examples:
             obj: dict = {"tokens": ex.tokens}
             if ex.slot_labels is not None:
                 obj["slots"] = ex.slot_labels
             if ex.class_label is not None:
                 obj["label"] = ex.class_label
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+            fh.write((json.dumps(obj, ensure_ascii=False) + "\n").encode("utf-8"))
 
 
 def _parse_cell(cell: str) -> list[str]:

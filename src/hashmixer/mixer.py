@@ -42,22 +42,24 @@ input gradient. Everything after the bottleneck is shared.
 GELU is exact, ``x * Phi(x)`` with ``Phi`` the standard normal CDF, and the
 dtype of the activations selects how ``Phi`` is computed. float32 uses a
 clamped rational erf, ``z * P(z^2) / Q(z^2)`` with ``z`` clamped to
-[-4, 4] (Eigen's single-precision form), evaluated in blocks of
-:data:`ERF_BLOCK` elements so that its dozens of passes stay in cache. Its
-``Phi`` is within 2.4e-7 of the float64 value on a dense grid over
-[-10, 10], and is exactly 0 or 1 beyond |x| = 4 sqrt 2. Every other dtype
-applies ``math.erf`` per element: slow, but as precise as the float64
-gradient checks need. ``gelu_grad`` is blocked the same way in float32.
+[-4, 4] (Eigen's single-precision form). Its ``Phi`` is within 2.4e-7 of
+the float64 value on a dense grid over [-10, 10], and is exactly 0 or 1
+beyond |x| = 4 sqrt 2. Every other dtype applies ``math.erf`` per element:
+slow, but as precise as the float64 gradient checks need. ``normal_cdf``
+and ``gelu_grad`` run over their whole argument, into an ``out`` of any
+layout; only :func:`_mlp` blocks their work, to rows of about
+:data:`ERF_BLOCK` elements that stay in cache.
 
 Inference. ``forward_batch(..., record=False)``, which ``predict_batches``
 runs for validation, ``eval`` and ``predict``, keeps no
 :class:`ActivationRecord`: nothing a layer computes outlives the layer.
-Every MLP works through its rows in blocks of ``ERF_BLOCK // hidden`` rows.
-A block's first product goes into one reused buffer, GELU is applied there
-while it is in cache, and the second product writes the block's output
-rows. So no ``(rows, hidden)`` array is allocated: at an eval batch half,
-that is 8 MiB per token MLP at x-small and 32 MiB at base, which would be
-faulted in afresh on every pass after ``release_memory`` trims the heap.
+Every MLP works through its rows in blocks of ``ERF_BLOCK // hidden`` rows,
+the one place where GELU's work is blocked. A block's first product goes
+into one reused buffer, GELU is applied there while it is in cache, and the
+second product writes the block's output rows. So no ``(rows, hidden)``
+array is allocated: at an eval batch half, that is 8 MiB per token MLP at
+x-small and 32 MiB at base, which would be faulted in afresh on every pass
+after ``release_memory`` trims the heap.
 The recording forward runs the same blocks and, while a block is in cache,
 writes its ``gelu(h)`` and ``gelu'(h)`` into the record, so logits with and
 without a record are equal bit for bit, and backward makes no GELU pass: it
@@ -95,8 +97,9 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _ERF64 = np.frompyfunc(math.erf, 1, 1)
 
-# Elements per block of the float32 GELU: the operands of one block (about
-# 1.3 MB) stay in a 2 MB per-core L2 cache across the polynomial's passes.
+# Hidden values per row block of _mlp, the only reader: a block's GELU operands
+# (about 1.3 MB in float32) stay in a 2 MB per-core L2 cache across the erf
+# polynomial's passes.
 ERF_BLOCK = 1 << 16
 
 # Eigen's single-precision erf: odd numerator and even denominator
@@ -194,19 +197,13 @@ def init_params(cfg: ModelConfig, seed: int) -> ModelParams:
     return params
 
 
-def _float32_blocks(out: np.ndarray, *arrays: np.ndarray):
-    """Matching flat blocks of ``out`` and of C-ordered copies of ``arrays``."""
-    flats = [out.reshape(-1)] + [np.ascontiguousarray(a).reshape(-1) for a in arrays]
-    for lo in range(0, out.size, ERF_BLOCK):
-        yield [f[lo : lo + ERF_BLOCK] for f in flats]
-
-
 def normal_cdf(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Standard normal CDF, ``0.5 * (1 + erf(x / sqrt 2))``, elementwise, into ``out``
-    (a C-contiguous array of ``x``'s shape, float32 for float32 ``x``) if given.
+    (an array of ``x``'s shape and any layout, float32 for float32 ``x``) if given.
 
-    float32 input takes the blocked rational erf (within 2.4e-7 of the
-    float64 value); any other dtype takes ``math.erf`` per element.
+    float32 input takes the rational erf (within 2.4e-7 of the float64 value) over the
+    whole of ``x``, with three scratch arrays of its shape; :func:`_mlp` calls it on
+    cache-sized row blocks. Any other dtype takes ``math.erf`` per element.
     """
     x = np.asarray(x)
     if out is None:
@@ -214,48 +211,44 @@ def normal_cdf(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     if x.dtype != np.float32:
         out[...] = 0.5 * (1.0 + _ERF64(x * _INV_SQRT2))
         return out
-    scratch = np.empty((3, min(x.size, ERF_BLOCK)), dtype=np.float32)
-    for p, xb in _float32_blocks(out, x):
-        z, z2, q = scratch[:, : len(p)]
-        np.multiply(xb, np.float32(_INV_SQRT2), out=z)
-        np.minimum(z, _ERF_CLAMP, out=z)
-        np.maximum(z, -_ERF_CLAMP, out=z)
-        np.multiply(z, z, out=z2)
-        np.multiply(z2, _ERF_P[0], out=p)
-        p += _ERF_P[1]
-        for c in _ERF_P[2:]:
-            p *= z2
-            p += c
-        p *= z
-        np.multiply(z2, _ERF_Q[0], out=q)
-        q += _ERF_Q[1]
-        for c in _ERF_Q[2:]:
-            q *= z2
-            q += c
-        p /= q
-        p += np.float32(1.0)
-        p *= np.float32(0.5)
+    z, z2, q = (np.empty(x.shape, dtype=np.float32) for _ in range(3))
+    np.multiply(x, np.float32(_INV_SQRT2), out=z)
+    np.minimum(z, _ERF_CLAMP, out=z)
+    np.maximum(z, -_ERF_CLAMP, out=z)
+    np.multiply(z, z, out=z2)
+    np.multiply(z2, _ERF_P[0], out=out)
+    out += _ERF_P[1]
+    for c in _ERF_P[2:]:
+        out *= z2
+        out += c
+    out *= z
+    np.multiply(z2, _ERF_Q[0], out=q)
+    q += _ERF_Q[1]
+    for c in _ERF_Q[2:]:
+        q *= z2
+        q += c
+    out /= q
+    out += np.float32(1.0)
+    out *= np.float32(0.5)
     return out
 
 
 def gelu_grad(x: np.ndarray, cdf: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """d/dx GELU at ``x``, given the forward pass's ``cdf = Phi(x)``, into ``out`` (a
-    C-contiguous array of ``x``'s shape and dtype) if given.
+    """d/dx GELU at ``x``, given the forward pass's ``cdf = Phi(x)``, into ``out`` (an
+    array of ``x``'s shape and dtype, any layout) if given.
 
-    The recording forward calls it on each row block of an MLP's hidden values while the
-    block is in cache, so backward reads ``gelu'(h)`` and makes no GELU pass of its own.
+    One in-place body serves every dtype: its constants are Python floats, which take the
+    arrays' dtype. The recording forward calls it on each row block of an MLP's hidden
+    values while the block is in cache, so backward makes no GELU pass of its own.
     """
     if out is None:
         out = np.empty(np.shape(x), dtype=np.result_type(x, cdf))
-    if out.dtype != np.float32:
-        return np.add(cdf, x * np.exp(-0.5 * x * x) * _INV_SQRT_2PI, out=out)
-    for d, xb, cb in _float32_blocks(out, x, cdf):
-        np.multiply(xb, np.float32(-0.5), out=d)
-        d *= xb
-        np.exp(d, out=d)
-        d *= xb
-        d *= np.float32(_INV_SQRT_2PI)
-        d += cb
+    np.multiply(x, -0.5, out=out)
+    out *= x
+    np.exp(out, out=out)
+    out *= x
+    out *= _INV_SQRT_2PI
+    out += cdf
     return out
 
 
@@ -394,11 +387,11 @@ def _mlp(a: np.ndarray, params: ModelParams, prefix: str, width: int | None = No
 
     The rows run in blocks of about :data:`ERF_BLOCK` hidden values (see "Inference" in
     the module docstring): each block's first product, GELU and second product run
-    while its hidden values are in cache. A block's ``h`` and ``Phi(h)`` live in two
-    reused block buffers. Without ``keep``, ``gelu(h)`` overwrites ``h`` there, so no
-    ``(rows, hidden)`` array is allocated; with it, ``gelu(h)`` and ``gelu'(h)`` are
-    written into the kept arrays' block rows. Either way the same products run on the
-    same blocks, so the output is the same bit for bit.
+    while its hidden values are in cache; GELU is blocked nowhere else. A block's ``h``
+    and ``Phi(h)`` live in two reused block buffers. Without ``keep``, ``gelu(h)``
+    overwrites ``h`` there, so no ``(rows, hidden)`` array is allocated; with it,
+    ``gelu(h)`` and ``gelu'(h)`` are written into the kept arrays' block rows. Either
+    way the same products run on the same blocks, so the output is the same bit for bit.
     """
     w1, b1 = params[f"{prefix}.w1"], params[f"{prefix}.b1"]
     w2, b2 = params[f"{prefix}.w2"][:width], params[f"{prefix}.b2"][:width]

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import DataError
-from .files import read_text
+from .files import read_text, replacing
 
 CONTINUATION_PREFIX = "##"
 DEFAULT_UNK = "[UNK]"
@@ -78,8 +78,8 @@ def load_vocab(path: str) -> Vocabulary:
 
 
 def save_vocab(units: list[str], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(units) + "\n")
+    with replacing(path) as fh:
+        fh.write(("\n".join(units) + "\n").encode("utf-8"))
 
 
 def _is_punctuation(ch: str) -> bool:

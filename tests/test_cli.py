@@ -811,13 +811,24 @@ class TestExitCodes:
         self._exits_2_naming(capsys, ["train", "--config", str(bad), "--quiet"], bad, named)
         assert not (tmp_path / "run").exists()
 
-    def test_build_cache_over_a_fifo_is_data_error(self, workspace, tmp_path, capsys):
-        fifo = tmp_path / "out.fifo"
+    @pytest.mark.parametrize("command", ["build-cache", "import-mtop", "import-multiatis"])
+    def test_build_cache_over_a_fifo_is_data_error(self, workspace, tmp_path, capsys, command):
+        # refused without opening the FIFO, which would block until a reader came
+        raw = tmp_path / "raw.tsv"
+        raw.write_text("1\twake me\tO O\n", encoding="utf-8")
+        out = tmp_path / "out"
+        out.mkdir()
+        fifo = out / "out.fifo"
         os.mkfifo(fifo)
-        self._exits_2_naming(capsys, ["build-cache", "--vocab", workspace["paths"]["vocab"],
-                                      "-o", str(fifo), "--quiet"], fifo, "not a regular file")
+        argv = {
+            "build-cache": ["--vocab", workspace["paths"]["vocab"]],
+            "import-mtop": ["--input", str(raw), "--field-map", '{"tokens": 1, "slots": 2}'],
+            "import-multiatis": ["--input", str(raw), "--field-map", '{"text": 1, "intent": 2}'],
+        }[command]
+        self._exits_2_naming(capsys, [command, *argv, "-o", str(fifo), "--quiet"], fifo,
+                             "not a regular file")
         assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
-        assert os.listdir(tmp_path) == ["out.fifo"]
+        assert os.listdir(out) == ["out.fifo"]
 
     @pytest.mark.parametrize("name", ["train_log.jsonl", "model.bin", "labels.json",
                                       "config.json"])

@@ -166,7 +166,8 @@ class TestGelu:
 
 
 class TestFloat32Gelu:
-    """float32 takes the blocked rational erf; float64 takes math.erf per element."""
+    """float32 takes the rational erf; float64 takes math.erf per element. Neither function
+    blocks its work (``_mlp`` does), and both write into an ``out`` of any layout."""
 
     CDF_TOL = 4e-7
 
@@ -215,16 +216,23 @@ class TestFloat32Gelu:
         if size:
             assert np.abs(cdf - self.exact_cdf(x)).max() <= self.CDF_TOL
 
+    @pytest.mark.parametrize("out_layout", ["contiguous", "transposed"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_gelu_grad_into_out_equals_a_fresh_result(self, dtype, rng):
+    def test_gelu_grad_into_out_equals_a_fresh_result(self, dtype, out_layout, rng):
+        # normal_cdf too; an out of any layout is written, not only a C-contiguous one
         x = rng.normal(scale=3.0, size=(70, 40)).astype(dtype)
         view = x.T[::2]
         assert not view.flags.c_contiguous
         for arg in (x, view):
             cdf = normal_cdf(arg)
-            out = np.empty(arg.shape, dtype=dtype)
-            assert gelu_grad(arg, cdf, out=out) is out
-            assert out.tobytes() == gelu_grad(arg, cdf).tobytes()
+            for fn, args in ((normal_cdf, (arg,)), (gelu_grad, (arg, cdf))):
+                if out_layout == "contiguous":
+                    out = np.empty(arg.shape, dtype=dtype)
+                else:
+                    out = np.empty(arg.shape[::-1], dtype=dtype).T
+                    assert not out.flags.c_contiguous
+                assert fn(*args, out=out) is out
+                assert out.tobytes() == fn(*args).tobytes(), fn.__name__
 
     def test_gelu_grad_matches_float64_formula(self):
         x = np.linspace(-10.0, 10.0, 100_001, dtype=np.float32)
