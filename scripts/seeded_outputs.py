@@ -19,12 +19,14 @@ the listing does not depend on where the trees are.
 
 Before the CLI runs, one process runs the network itself on a fixed tiny
 batch: ``forward_batch`` and ``backward_batch`` on dense and token-window
-input, with the token and the pooled head, in float64 and float32, with
-``live_only`` off and on. Its lines are ``<sha256>  mixer/<case>/<output>``
-for the logits, the logits of ``forward_batch(..., record=False)``, the
-parameter gradients and the dense input's gradient. The hidden width (512)
-splits each token MLP's 288 rows into two row blocks of 128 and 160 rows,
-so the last block's GELU runs over more than ``ERF_BLOCK`` elements.
+input, with the token and the pooled head, in float64 and float32. Dense
+input computes every position and token windows only the live ones, so the
+token cases' names end in ``-live-only``. Its lines are
+``<sha256>  mixer/<case>/<output>`` for the logits, the logits of
+``forward_batch(..., record=False)``, the parameter gradients and the dense
+input's gradient. The hidden width (512) splits each token MLP's 288 rows
+into two row blocks of 128 and 160 rows, so the last block's GELU runs over
+more than ``ERF_BLOCK`` elements.
 """
 
 import argparse
@@ -69,17 +71,17 @@ table = np.vstack([np.zeros((1, m)), rng.integers(0, 4, size=(40, m))]).astype(n
 ids = rng.integers(1, len(table), size=(n, slots, s)) * (np.arange(s) < valid[:, None, None])
 windows = TokenWindows(table=table, ids=ids)
 dense = np.concatenate([table[ids[:, j]].transpose(0, 2, 1) for j in range(slots)], axis=1)
-for head, dtype, form, live_only in itertools.product(
-        ("token", "pooled"), ("float64", "float32"), ("dense", "token"), (False, True)):
+for head, dtype, form in itertools.product(
+        ("token", "pooled"), ("float64", "float32"), ("dense", "token")):
     cfg = ModelConfig(input_rows=slots * m, seq_len=s, bottleneck=48, hidden=512, depth=2,
                       head=head, num_labels=5)
     params = {k: v.astype(dtype) for k, v in init_params(cfg, seed=9).items()}
     inputs = dense.astype(dtype) if form == "dense" else windows
-    logits, record = forward_batch(inputs, valid, params, cfg, live_only=live_only)
-    unrecorded, _ = forward_batch(inputs, valid, params, cfg, live_only, record=False)
+    logits, record = forward_batch(inputs, valid, params, cfg)
+    unrecorded, _ = forward_batch(inputs, valid, params, cfg, record=False)
     upstream = np.random.default_rng(4).normal(size=logits.shape).astype(dtype)
     grads, input_grad = backward_batch(record, upstream, params, cfg)
-    case = f"mixer/{form}-{head}-{dtype}" + ("-live-only" if live_only else "")
+    case = f"mixer/{form}-{head}-{dtype}" + ("-live-only" if form == "token" else "")
     outputs = {"logits": [("logits", logits)], "unrecorded logits": [("logits", unrecorded)],
                "gradients": sorted(grads.items())}
     if input_grad is not None:

@@ -21,15 +21,15 @@ the ``(N, labels, s)`` layout, and :class:`ActivationRecord`'s
 Padding. Position ``t`` of example ``n`` is live when ``t < valid_lens[n]``.
 Every layer but the last runs on all positions, because the next token MLP
 reads them all. After the last token-mixing step no position reads another,
-so with ``live_only`` (as training and inference run it) the last layer
+so for token-window input (as training and inference pass it) the last layer
 computes only what the loss reads: its token MLP's outputs up to the batch's
 longest valid length (the span), then its residual sum, channel MLP and the
 head on the live rows alone. Padded positions then hold exactly 0 in the
 token-head logits and in ``mixer_out``, which zero-pads the record's live
 rows when read. Nothing reads them: the loss masks them, the pooled head
 gives them weight 0 (a finite 0 keeps its weighted sum exact), and backward
-reads no upstream gradient there. The default computes every position, as a
-position-by-position reference does; live logits are the same either way.
+reads no upstream gradient there. Dense input, the reference form, computes
+every position, as a position-by-position reference does; live logits agree.
 
 The input comes in two forms. Training and inference pass
 :class:`~hashmixer.projection.TokenWindows`, the token-table row of every
@@ -301,7 +301,7 @@ class ActivationRecord:
     ``(rows, inverse)``: the batch's distinct table rows and, per window
     slot, each position's index into them. ``computed_lens`` are the
     positions per example that the last layer computed: the valid lengths
-    with ``live_only``, else ``seq_len``. ``out_rows`` are the last layer's
+    for token input, else ``seq_len``. ``out_rows`` are the last layer's
     output rows at those positions, in example order, and the last layer's
     ``xhat2``, ``inv_std2`` and ``channel_mlp`` hold the same rows.
     """
@@ -422,12 +422,10 @@ def _mlp_backward(d, a, saved, params: ModelParams, prefix: str, grads: ModelPar
     ``saved`` is the forward's ``(gelu(h), gelu'(h))``, only read: no GELU pass runs here."""
     g, gp = saved
     w2 = params[f"{prefix}.w2"][: d.shape[1]]
-    grads[f"{prefix}.w2"] = d.T @ g
-    grads[f"{prefix}.b2"] = d.sum(axis=0)
-    pad = len(params[f"{prefix}.w2"]) - len(w2)
-    if pad:
-        grads[f"{prefix}.w2"] = np.pad(grads[f"{prefix}.w2"], ((0, pad), (0, 0)))
-        grads[f"{prefix}.b2"] = np.pad(grads[f"{prefix}.b2"], (0, pad))
+    grads[f"{prefix}.w2"] = np.zeros_like(params[f"{prefix}.w2"], d.dtype)
+    grads[f"{prefix}.b2"] = np.zeros_like(params[f"{prefix}.b2"], d.dtype)
+    np.matmul(d.T, g, out=grads[f"{prefix}.w2"][: len(w2)])
+    d.sum(axis=0, out=grads[f"{prefix}.b2"][: len(w2)])
     dh = d @ w2
     dh *= gp
     grads[f"{prefix}.w1"] = dh.T @ a
@@ -511,21 +509,22 @@ def forward_batch(
     valid_lens: np.ndarray,
     params: ModelParams,
     cfg: ModelConfig,
-    live_only: bool = False,
     record: bool = True,
 ) -> tuple[np.ndarray, ActivationRecord | None]:
     """Run the network on a dense (batch, input_rows, seq_len) tensor or on token windows.
 
-    Position ``t`` of example ``n`` is live when ``t < valid_lens[n]``. By default every
-    position is computed. With ``live_only`` the last layer and the head compute only the
-    live positions, and token-head logits and the record's ``mixer_out`` are exactly 0 at
-    padded ones (see "Padding" in the module docstring); live logits are the same.
+    Position ``t`` of example ``n`` is live when ``t < valid_lens[n]``. For token windows
+    the last layer and the head compute only the live positions, and token-head logits and
+    the record's ``mixer_out`` are exactly 0 at padded ones (see "Padding" in the module
+    docstring). Dense input, the reference form, computes every position. Live logits are
+    the same for both forms.
 
     The second value is the :class:`ActivationRecord` that :func:`backward_batch` reads.
     With ``record=False`` it is None: no activation is kept, each layer's temporaries go
     when the layer ends, and the logits are the same bit for bit (see "Inference").
     """
-    if isinstance(inputs, TokenWindows):
+    token_input = isinstance(inputs, TokenWindows)
+    if token_input:
         x, saved = _token_bottleneck(inputs, params, cfg)
         n = inputs.ids.shape[0]
     else:
@@ -543,7 +542,7 @@ def forward_batch(
     valid = np.asarray(valid_lens)
     if cfg.head == "pooled" and np.any(valid < 1):
         raise ValueError("pooled head needs at least one valid position per example")
-    computed = valid if live_only else np.full(len(valid), s)
+    computed = valid if token_input else np.full(len(valid), s)
     span, live = _live_positions(computed, s)
     layers: list[_LayerCache] = []
     for k in range(cfg.depth):
@@ -555,11 +554,7 @@ def forward_batch(
         x = _live_rows(x.reshape(n, s, b), live)
 
     alpha = pooled = None
-    if cfg.head == "token":
-        logits = x @ params["head.weight"].T
-        logits += params["head.bias"]
-        logits = _channels_first(_zero_padded(logits, live, n, s), n)
-    else:
+    if cfg.head == "pooled":
         # rows not computed are 0, finite, so their weight 0 keeps the pooled sum exact
         x3 = _zero_padded(x, live, n, s).reshape(n, s, b)
         mask = np.arange(s)[None, :] < valid[:, None]
@@ -569,7 +564,11 @@ def forward_batch(
         exps = np.where(mask, np.exp(scores), 0.0)
         alpha = exps / exps.sum(axis=1, keepdims=True)
         pooled = np.matmul(alpha[:, None, :], x3)[:, 0]
-        logits = pooled @ params["head.weight"].T + params["head.bias"]
+    # the linear head, on the computed rows (token head) or the pooled vectors
+    logits = (x if pooled is None else pooled) @ params["head.weight"].T
+    logits += params["head.bias"]
+    if cfg.head == "token":
+        logits = _channels_first(_zero_padded(logits, live, n, s), n)
     if not record:
         return logits, None
     return logits, ActivationRecord(inputs=saved, seq_len=s, computed_lens=computed,
@@ -584,7 +583,7 @@ def backward_batch(
 ) -> tuple[ModelParams, np.ndarray | None]:
     """Exact gradients of all parameters, and of the input when it is a dense tensor.
 
-    After a ``live_only`` forward, ``upstream`` at padded positions is not read: the logits
+    After a token-window forward, ``upstream`` at padded positions is not read: the logits
     there are constant. Token-window input has no input gradient: the second value is ``None``.
     """
     token_input = isinstance(record.inputs, tuple)
@@ -592,17 +591,17 @@ def backward_batch(
     n, s, b = len(record.computed_lens), cfg.seq_len, cfg.bottleneck
     span, live = _live_positions(record.computed_lens, s)
 
+    # the linear head, on the computed rows (token head) or the pooled vectors
     if cfg.head == "token":
-        up = _live_rows(upstream.transpose(0, 2, 1), live)
-        grads["head.weight"] = up.T @ record.out_rows
-        grads["head.bias"] = up.sum(axis=0)
-        dx = up @ params["head.weight"]
+        up, head_in = _live_rows(upstream.transpose(0, 2, 1), live), record.out_rows
     else:
+        up, head_in = upstream, record.pooled
+    grads["head.weight"] = up.T @ head_in
+    grads["head.bias"] = up.sum(axis=0)
+    dx = up @ params["head.weight"]
+    if cfg.head == "pooled":
         o3 = record.mixer_out.transpose(0, 2, 1)  # the (N, s, b) stream
-        alpha, pooled = record.alpha, record.pooled
-        grads["head.weight"] = upstream.T @ pooled
-        grads["head.bias"] = upstream.sum(axis=0)
-        dpooled = upstream @ params["head.weight"]
+        alpha, dpooled = record.alpha, dx
         dalpha = np.matmul(o3, dpooled[:, :, None])[:, :, 0]
         dscores = alpha * (dalpha - (alpha * dalpha).sum(axis=1, keepdims=True))
         grads["head.query"] = dscores.reshape(-1) @ o3.reshape(n * s, b)
@@ -640,12 +639,10 @@ def backward_batch(
     if cfg.depth == 0:
         dx = _zero_padded(dx, live, n, s)
 
-    if token_input:
-        grads["bottleneck.weight"] = _token_bottleneck_weight_grad(dx, *record.inputs)
-    else:
-        flat_inputs = record.inputs.transpose(0, 2, 1).reshape(n * s, cfg.input_rows)
-        grads["bottleneck.weight"] = dx.T @ flat_inputs
     grads["bottleneck.bias"] = dx.sum(axis=0)
     if token_input:
+        grads["bottleneck.weight"] = _token_bottleneck_weight_grad(dx, *record.inputs)
         return grads, None
+    flat_inputs = record.inputs.transpose(0, 2, 1).reshape(n * s, cfg.input_rows)
+    grads["bottleneck.weight"] = dx.T @ flat_inputs
     return grads, params["bottleneck.weight"].T @ _channels_first(dx, n)

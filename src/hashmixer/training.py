@@ -214,7 +214,7 @@ def predict_batches(
 
     def predict(sel: slice) -> np.ndarray:
         logits, _ = forward_batch(_token_windows(featurizer, data, sel), data.valid[sel],
-                                  params, cfg, live_only=True, record=False)
+                                  params, cfg, record=False)
         return logits.argmax(axis=1)
 
     out: list[np.ndarray] = []
@@ -311,7 +311,7 @@ def train(
     def forward(sel: np.ndarray):
         with np.errstate(all="ignore"):  # errstate is per thread
             return forward_batch(_token_windows(featurizer, train_data, sel),
-                                 train_data.valid[sel], params, model_cfg, live_only=True)
+                                 train_data.valid[sel], params, model_cfg)
 
     def backward(record, upstream: np.ndarray) -> ModelParams:
         with np.errstate(all="ignore"):

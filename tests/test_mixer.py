@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import math
 import tracemalloc
 
@@ -361,38 +360,51 @@ GRAD_CASES = {
 
 
 class TestBackward:
-    @pytest.mark.parametrize("head,depth,valid", [
-        pytest.param(head, depth, valid, id=f"{head}-{depth}" + ("" if 6 in valid else "-short"))
-        for valid in GRAD_CASES for head in ("token", "pooled") for depth in (0, 1, 2)])
-    def test_gradients_match_finite_differences(self, head, depth, valid, rng):
+    # dense input computes every position and has an input gradient; token windows (window 1,
+    # 3 slots of 4 features) compute the last layer and the head on live rows only
+    @pytest.mark.parametrize("form,head,depth,valid", [
+        pytest.param(form, head, depth, valid,
+                     id=f"{form}-{head}-{depth}" + ("" if 6 in valid else "-short"))
+        for form in ("dense", "token") for valid in GRAD_CASES for head in ("token", "pooled")
+        for depth in (0, 1, 2)])
+    def test_gradients_match_finite_differences(self, form, head, depth, valid, rng):
         cfg = small_cfg(head=head, depth=depth, num_labels=4)
         params = init_params(cfg, seed=21)
-        data = rng.normal(size=(len(valid), 12, 6))
+        if form == "dense":
+            data = rng.normal(size=(len(valid), 12, 6))
+        else:
+            data, _, _ = token_case(rng, 1, distinct=False, valid=valid)
+            # padded positions project to the bias alone: a nonzero one keeps layer norm off
+            # constant rows, where a difference step of 1e-4 is far from linear
+            for name in params:
+                params[name] = params[name] + 0.1 * rng.standard_normal(params[name].shape)
         labels = np.array(GRAD_CASES[valid][head == "pooled"])
         valid = np.array(valid)
-        for live_only in (False, True):
 
-            def loss_fn():
-                logits, _ = forward_batch(data, valid, params, cfg, live_only)
-                return cross_entropy_masked(logits, labels, head=head)[0]
+        def loss_fn():
+            logits, _ = forward_batch(data, valid, params, cfg)
+            return cross_entropy_masked(logits, labels, head=head)[0]
 
-            logits, record = forward_batch(data, valid, params, cfg, live_only)
-            _, dlogits = cross_entropy_masked(logits, labels, head=head)
-            grads, input_grad = backward_batch(record, dlogits, params, cfg)
-            numeric = numeric_gradients(loss_fn, params)
-            assert max_rel_error(grads, numeric) < 1e-4, live_only
+        logits, record = forward_batch(data, valid, params, cfg)
+        _, dlogits = cross_entropy_masked(logits, labels, head=head)
+        grads, input_grad = backward_batch(record, dlogits, params, cfg)
+        numeric = numeric_gradients(loss_fn, params)
+        assert max_rel_error(grads, numeric) < 1e-4
+        if form == "token":
+            assert input_grad is None
+            return
 
-            flat, gflat = data.ravel(), input_grad.ravel()
-            h = 1e-4
-            for idx in range(0, flat.size, 7):
-                orig = flat[idx]
-                flat[idx] = orig + h
-                up = loss_fn()
-                flat[idx] = orig - h
-                down = loss_fn()
-                flat[idx] = orig
-                num = (up - down) / (2 * h)
-                assert abs(gflat[idx] - num) / max(abs(gflat[idx]), abs(num), 1e-6) < 1e-4
+        flat, gflat = data.ravel(), input_grad.ravel()
+        h = 1e-4
+        for idx in range(0, flat.size, 7):
+            orig = flat[idx]
+            flat[idx] = orig + h
+            up = loss_fn()
+            flat[idx] = orig - h
+            down = loss_fn()
+            flat[idx] = orig
+            num = (up - down) / (2 * h)
+            assert abs(gflat[idx] - num) / max(abs(gflat[idx]), abs(num), 1e-6) < 1e-4
 
     def test_zero_upstream_gives_zero_grads(self, rng):
         cfg = small_cfg()
@@ -452,12 +464,21 @@ def case_labels(head, valid, s=6, num_labels=5):
     return labels
 
 
+def live_logits(logits, valid):
+    """Token-head logits at live positions as ``(L, labels)`` rows; pooled logits as they are.
+
+    Token windows leave padded positions at 0, dense input computes them: compare live ones."""
+    if logits.ndim == 2:
+        return logits
+    return logits.transpose(0, 2, 1)[np.arange(logits.shape[2]) < valid[:, None]]
+
+
 class TestTokenInput:
-    """Token windows give the dense path's logits and gradients."""
+    """Token windows give the dense path's live logits and its gradients under the masked loss."""
 
     @staticmethod
-    def run(inputs, valid, labels, params, cfg, live_only=False):
-        logits, record = forward_batch(inputs, valid, params, cfg, live_only)
+    def run(inputs, valid, labels, params, cfg):
+        logits, record = forward_batch(inputs, valid, params, cfg)
         _, dlogits = cross_entropy_masked(logits, labels, head=cfg.head)
         grads, _ = backward_batch(record, dlogits, params, cfg)
         return logits, grads
@@ -470,19 +491,19 @@ class TestTokenInput:
     def test_matches_dense_float64(self, window, head, distinct, valid, rng):
         windows, dense, valid = token_case(rng, window, distinct, valid=valid)
         labels = case_labels(head, valid)
-        for depth, live_only in itertools.product((0, 1, 2), (False, True)):
+        for depth in (0, 1, 2):
             cfg = token_cfg(window, head, depth=depth)
             params = init_params(cfg, seed=8)
-            logits_t, grads_t = self.run(windows, valid, labels, params, cfg, live_only)
-            logits_d, grads_d = self.run(dense.astype(np.float64), valid, labels, params, cfg,
-                                         live_only)
+            logits_t, grads_t = self.run(windows, valid, labels, params, cfg)
+            logits_d, grads_d = self.run(dense.astype(np.float64), valid, labels, params, cfg)
             assert logits_t.dtype == np.float64
+            logits_t, logits_d = live_logits(logits_t, valid), live_logits(logits_d, valid)
             assert np.abs(logits_t - logits_d).max() <= 1e-12 * np.abs(logits_d).max()
             assert grads_t.keys() == grads_d.keys()
             for name in grads_d:
                 scale = np.abs(grads_d[name]).max()
                 assert np.abs(grads_t[name] - grads_d[name]).max() <= 1e-12 * scale, (
-                    depth, live_only, name)
+                    depth, name)
 
     @pytest.mark.parametrize("window", [0, 1])
     @pytest.mark.parametrize("head", ["token", "pooled"])
@@ -494,6 +515,7 @@ class TestTokenInput:
         logits_t, grads_t = self.run(windows, valid, labels, params, cfg)
         logits_d, grads_d = self.run(dense, valid, labels, params, cfg)
         assert logits_t.dtype == np.float32
+        logits_t, logits_d = live_logits(logits_t, valid), live_logits(logits_d, valid)
         assert np.abs(logits_t - logits_d).max() <= 1e-5 * np.abs(logits_d).max()
         for name in grads_d:
             scale = np.abs(grads_d[name]).max()
@@ -533,7 +555,8 @@ class TestTokenInput:
 
 
 class TestLiveRows:
-    """With ``live_only`` the last layer and the head compute only live positions."""
+    """With token windows the last layer and the head compute only live positions; dense
+    input, the reference form, computes every position."""
 
     @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
     @pytest.mark.parametrize("form", ["dense", "token"])
@@ -544,29 +567,27 @@ class TestLiveRows:
         cfg = token_cfg(1, head, depth=depth)
         params = {k: p.astype(dtype) for k, p in init_params(cfg, seed=8).items()}
         logits, _ = forward_batch(windows if form == "token" else dense.astype(dtype),
-                                  valid, params, cfg, live_only=True)
+                                  valid, params, cfg)
         assert logits.dtype == dtype
         for i, v in enumerate(valid):
-            one = (TokenWindows(windows.table, windows.ids[i : i + 1]) if form == "token"
-                   else dense[i : i + 1].astype(dtype))
             live = (slice(None), slice(0, v)) if head == "token" else slice(None)
-            for live_only in (False, True):  # every position computed, or only its live ones
-                alone, _ = forward_batch(one, valid[i : i + 1], params, cfg, live_only)
+            # the example alone as token windows (live positions computed) and dense (every one)
+            for one in (TokenWindows(windows.table, windows.ids[i : i + 1]),
+                        dense[i : i + 1].astype(dtype)):
+                alone, _ = forward_batch(one, valid[i : i + 1], params, cfg)
                 expected = alone[0][live]
                 assert np.abs(logits[i][live] - expected).max() <= tol * np.abs(expected).max(), (
-                    i, live_only)
+                    i, type(one))
 
     @pytest.mark.parametrize("head", ["token", "pooled"])
-    @pytest.mark.parametrize("form", ["dense", "token"])
     @pytest.mark.parametrize("depth", [0, 1, 2])
-    def test_padded_positions_are_zero(self, depth, form, head, rng):
-        windows, dense, valid = token_case(rng, 1, distinct=False, valid=(4, 2, 1))
+    def test_padded_positions_are_zero(self, depth, head, rng):
+        windows, _, valid = token_case(rng, 1, distinct=False, valid=(4, 2, 1))
         cfg = token_cfg(1, head, depth=depth)
         params = init_params(cfg, seed=8)
         for name in params:  # nonzero biases, so that nothing is zero by accident
             params[name] = params[name] + 0.1 * rng.standard_normal(params[name].shape)
-        logits, record = forward_batch(windows if form == "token" else dense.astype(np.float64),
-                                       valid, params, cfg, live_only=True)
+        logits, record = forward_batch(windows, valid, params, cfg)
         for i, v in enumerate(valid):
             assert not record.mixer_out[i, :, v:].any()
             assert record.mixer_out[i, :, :v].all()
@@ -583,6 +604,24 @@ class TestLiveRows:
             assert not grads[f"{last}.w2"][valid.max():].any()
             assert not grads[f"{last}.b2"][valid.max():].any()
             assert grads[f"{last}.w2"][: valid.max()].any()
+
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    def test_dense_input_computes_padded_positions(self, depth, rng):
+        # perfbench's reference test compares dense input's logits at padded positions too
+        windows, dense, valid = token_case(rng, 1, distinct=False, valid=(4, 6, 2, 1))
+        cfg = token_cfg(1, "token", depth=depth)
+        params = init_params(cfg, seed=8)
+        for name in params:  # nonzero biases, so that nothing is zero by accident
+            params[name] = params[name] + 0.1 * rng.standard_normal(params[name].shape)
+        logits_d, _ = forward_batch(dense.astype(np.float64), valid, params, cfg)
+        logits_t, _ = forward_batch(windows, valid, params, cfg)
+        for i, v in enumerate(valid):
+            padded = logits_d[i, :, v:]
+            assert padded.all()
+            alone, _ = forward_batch(dense[i : i + 1].astype(np.float64), valid[i : i + 1],
+                                     params, cfg)
+            assert np.abs(padded - alone[0, :, v:]).max(initial=0) <= 1e-12 * np.abs(alone).max()
+            assert not logits_t[i, :, v:].any()
 
 
 def wide_case():
@@ -643,12 +682,11 @@ class TestInference:
         for valid in ((4, 6, 2, 1), (3,)):
             windows, dense, valid = token_case(rng, 1, distinct=False, valid=valid)
             inputs = windows if form == "token" else dense.astype(dtype)
-            for live_only in (False, True):
-                recorded, record = forward_batch(inputs, valid, params, cfg, live_only)
-                bare, none = forward_batch(inputs, valid, params, cfg, live_only, record=False)
-                assert record is not None and none is None
-                assert bare.dtype == recorded.dtype == dtype
-                assert bare.tobytes() == recorded.tobytes(), (valid, live_only)
+            recorded, record = forward_batch(inputs, valid, params, cfg)
+            bare, none = forward_batch(inputs, valid, params, cfg, record=False)
+            assert record is not None and none is None
+            assert bare.dtype == recorded.dtype == dtype
+            assert bare.tobytes() == recorded.tobytes(), valid
 
     def test_unrecorded_forward_allocates_no_full_hidden_array(self):
         cfg, params, windows, valid, full = wide_case()
@@ -678,23 +716,22 @@ class TestRecord:
             params[name] = params[name] + dtype(0.1) * rng.standard_normal(
                 params[name].shape).astype(dtype)
         windows, _, valid = token_case(rng, 1, distinct=False)
-        for live_only in (False, True):
-            _, record = forward_batch(windows, valid, params, cfg, live_only)
-            for k, cache in enumerate(record.layers):
-                prefix = f"mixer.{k}"
-                t1 = mixer._token_mlp_input(cache.xhat1, params[f"{prefix}.norm1.scale"],
-                                            params[f"{prefix}.norm1.shift"], len(valid))
-                n2 = cache.xhat2 * params[f"{prefix}.norm2.scale"]
-                n2 += params[f"{prefix}.norm2.shift"]
-                for mlp, a in (("token_mlp", t1), ("channel_mlp", n2)):
-                    assert len(a) * cfg.hidden <= ERF_BLOCK
-                    h = a @ params[f"{prefix}.{mlp}.w1"].T
-                    h += params[f"{prefix}.{mlp}.b1"]
-                    cdf = normal_cdf(h)
-                    g, gp = getattr(cache, mlp)
-                    assert g.dtype == gp.dtype == dtype
-                    assert g.tobytes() == (h * cdf).tobytes(), (live_only, k, mlp)
-                    assert gp.tobytes() == gelu_grad(h, cdf).tobytes(), (live_only, k, mlp)
+        _, record = forward_batch(windows, valid, params, cfg)
+        for k, cache in enumerate(record.layers):
+            prefix = f"mixer.{k}"
+            t1 = mixer._token_mlp_input(cache.xhat1, params[f"{prefix}.norm1.scale"],
+                                        params[f"{prefix}.norm1.shift"], len(valid))
+            n2 = cache.xhat2 * params[f"{prefix}.norm2.scale"]
+            n2 += params[f"{prefix}.norm2.shift"]
+            for mlp, a in (("token_mlp", t1), ("channel_mlp", n2)):
+                assert len(a) * cfg.hidden <= ERF_BLOCK
+                h = a @ params[f"{prefix}.{mlp}.w1"].T
+                h += params[f"{prefix}.{mlp}.b1"]
+                cdf = normal_cdf(h)
+                g, gp = getattr(cache, mlp)
+                assert g.dtype == gp.dtype == dtype
+                assert g.tobytes() == (h * cdf).tobytes(), (k, mlp)
+                assert gp.tobytes() == gelu_grad(h, cdf).tobytes(), (k, mlp)
 
     def test_backward_allocates_under_two_full_hidden_arrays(self):
         cfg, params, windows, valid, full = wide_case()
@@ -723,22 +760,17 @@ class TestFloat32Network:
             inputs32 = inputs64 = windows
         else:
             inputs32, inputs64 = dense, dense.astype(np.float64)
-        for live_only in (False, True):
-            logits32, grads32 = TestTokenInput.run(inputs32, valid, labels, params32, cfg,
-                                                   live_only)
-            logits64, grads64 = TestTokenInput.run(inputs64, valid, labels, params64, cfg,
-                                                   live_only)
-            assert logits32.dtype == np.float32 and logits64.dtype == np.float64
-            assert np.abs(logits32 - logits64).max() <= 1e-4 * np.abs(logits64).max()
-            for name in grads64:
-                assert grads32[name].dtype == np.float32, name
-                scale = np.abs(grads64[name]).max()
-                assert np.abs(grads32[name] - grads64[name]).max() <= 1e-4 * scale, (
-                    live_only, name)
+        logits32, grads32 = TestTokenInput.run(inputs32, valid, labels, params32, cfg)
+        logits64, grads64 = TestTokenInput.run(inputs64, valid, labels, params64, cfg)
+        assert logits32.dtype == np.float32 and logits64.dtype == np.float64
+        assert np.abs(logits32 - logits64).max() <= 1e-4 * np.abs(logits64).max()
+        for name in grads64:
+            assert grads32[name].dtype == np.float32, name
+            scale = np.abs(grads64[name]).max()
+            assert np.abs(grads32[name] - grads64[name]).max() <= 1e-4 * scale, name
         # backward only reads the record: a second pass gives the same bytes
-        for (inputs, params), live_only in itertools.product(
-                ((inputs32, params32), (inputs64, params64)), (False, True)):
-            logits, record = forward_batch(inputs, valid, params, cfg, live_only)
+        for inputs, params in ((inputs32, params32), (inputs64, params64)):
+            logits, record = forward_batch(inputs, valid, params, cfg)
             _, dlogits = cross_entropy_masked(logits, labels, head=head)
             saved = [a.copy() for a in record_arrays(record)]
             first, _ = backward_batch(record, dlogits, params, cfg)
