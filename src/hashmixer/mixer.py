@@ -47,28 +47,33 @@ the float64 value on a dense grid over [-10, 10], and is exactly 0 or 1
 beyond |x| = 4 sqrt 2. Every other dtype applies ``math.erf`` per element:
 slow, but as precise as the float64 gradient checks need. ``normal_cdf``
 and ``gelu_grad`` run over their whole argument, into an ``out`` of any
-layout; only :func:`_mlp` blocks their work, to rows of about
-:data:`ERF_BLOCK` elements that stay in cache.
+layout; only an MLP's two passes, :func:`_mlp` and :func:`_mlp_backward`,
+block their work, to rows of about :data:`ERF_BLOCK` elements (twice that in
+backward) that stay in cache.
 
 Inference. ``forward_batch(..., record=False)``, which ``predict_batches``
 runs for validation, ``eval`` and ``predict``, keeps no
 :class:`ActivationRecord`: nothing a layer computes outlives the layer.
-Every MLP works through its rows in blocks of ``ERF_BLOCK // hidden`` rows,
-the one place where GELU's work is blocked. A block's first product goes
-into one reused buffer, GELU is applied there while it is in cache, and the
-second product writes the block's output rows. So no ``(rows, hidden)``
-array is allocated: at an eval batch half, that is 8 MiB per token MLP at
-x-small and 32 MiB at base, which would be faulted in afresh on every pass
-after ``release_memory`` trims the heap.
-The recording forward runs the same blocks and, while a block is in cache,
-writes its ``gelu(h)`` and ``gelu'(h)`` into the record, so logits with and
-without a record are equal bit for bit, and backward makes no GELU pass: it
-reads the record and allocates no ``(rows, hidden)`` array but ``dh``. No
-block is shorter than ``ERF_BLOCK // hidden`` rows unless the whole MLP
-is, because OpenBLAS multiplies a few rows with another kernel whose
-rounding differs. At the presets' geometries the blocked products then
-equal whole-array ones bit for bit; at tiny ones (``seq_len`` 4, say) they
-may differ within rounding.
+Every MLP works through its rows in blocks of ``ERF_BLOCK // hidden`` rows.
+A block's first product goes into one reused buffer, GELU is applied there
+while it is in cache, and the second product writes the block's output
+rows. So no ``(rows, hidden)`` array is allocated: at an eval batch half,
+that is 8 MiB per token MLP at x-small and 32 MiB at base, which would be
+faulted in afresh on every pass after ``release_memory`` trims the heap.
+The recording forward runs the same blocks and writes each block's
+``Phi(h)`` into the record, its one ``(rows, hidden)`` array per MLP, so
+logits with and without a record are equal bit for bit. Backward only reads
+the record. It runs blocks of ``2 * ERF_BLOCK // hidden`` rows, recomputes
+each block's ``h`` (one product, far cheaper than the erf polynomial's
+passes), forms ``gelu(h)`` and ``gelu'(h)`` from it and ``Phi(h)`` in block
+buffers, and sums the weight gradients over the blocks in order, so it too
+allocates no ``(rows, hidden)`` array. No block of either pass is shorter
+than its pass's step unless the whole MLP is, because OpenBLAS multiplies a
+few rows with another kernel whose rounding differs. At the presets'
+geometries the blocked products then equal whole-array ones bit for bit; at
+tiny ones (``seq_len`` 4, say) they may differ within rounding. Backward's
+weight gradients are sums over its blocks, so they equal a one-block
+backward's within rounding whenever an MLP spans more than one block.
 
 Parameters and their gradients are flat ``{name: ndarray}`` dicts so the
 optimizer, serializer and quantizer can treat them uniformly. The math
@@ -97,9 +102,9 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _ERF64 = np.frompyfunc(math.erf, 1, 1)
 
-# Hidden values per row block of _mlp, the only reader: a block's GELU operands
-# (about 1.3 MB in float32) stay in a 2 MB per-core L2 cache across the erf
-# polynomial's passes.
+# Hidden values per row block of _mlp (twice as many per block of _mlp_backward),
+# the only readers: a forward block's GELU operands (about 1.3 MB in float32) stay
+# in a 2 MB per-core L2 cache across the erf polynomial's passes.
 ERF_BLOCK = 1 << 16
 
 # Eigen's single-precision erf: odd numerator and even denominator
@@ -238,8 +243,8 @@ def gelu_grad(x: np.ndarray, cdf: np.ndarray, out: np.ndarray | None = None) -> 
     array of ``x``'s shape and dtype, any layout) if given.
 
     One in-place body serves every dtype: its constants are Python floats, which take the
-    arrays' dtype. The recording forward calls it on each row block of an MLP's hidden
-    values while the block is in cache, so backward makes no GELU pass of its own.
+    arrays' dtype. :func:`_mlp_backward` calls it on each row block of an MLP's hidden
+    values, with the block's recomputed ``h`` and the recorded ``Phi(h)``.
     """
     if out is None:
         out = np.empty(np.shape(x), dtype=np.result_type(x, cdf))
@@ -281,16 +286,17 @@ def _normalize_rows_backward(dy, xhat, inv_std, scale):
 @dataclass
 class _LayerCache:
     """What one mixer layer's backward reads: each layer norm's ``xhat`` and ``inv_std``, and
-    each MLP's ``(gelu(h), gelu'(h))`` from :func:`_mlp`'s row blocks. ``h`` and ``Phi(h)``
-    are not kept: backward needs only these two, and makes no GELU pass of its own.
+    each MLP's ``Phi(h)`` from :func:`_mlp`'s row blocks. ``h`` is not kept: backward
+    recomputes it block by block (one product), while ``Phi(h)`` would cost the erf
+    polynomial's passes again.
     """
 
     xhat1: np.ndarray
     inv_std1: np.ndarray
-    token_mlp: tuple[np.ndarray, np.ndarray]
+    token_mlp: np.ndarray
     xhat2: np.ndarray
     inv_std2: np.ndarray
-    channel_mlp: tuple[np.ndarray, np.ndarray]
+    channel_mlp: np.ndarray
 
 
 @dataclass
@@ -382,16 +388,15 @@ def _row_blocks(rows: int, step: int):
 def _mlp(a: np.ndarray, params: ModelParams, prefix: str, width: int | None = None,
          keep: bool = True):
     """``gelu(a @ w1.T + b1) @ w2.T + b2`` on the rows of ``a``, its first ``width`` outputs
-    (all by default), and with ``keep`` the ``(gelu(h), gelu'(h))`` that backward reads,
-    else None.
+    (all by default), and with ``keep`` the ``Phi(h)`` that backward reads, else None.
 
     The rows run in blocks of about :data:`ERF_BLOCK` hidden values (see "Inference" in
     the module docstring): each block's first product, GELU and second product run
-    while its hidden values are in cache; GELU is blocked nowhere else. A block's ``h``
-    and ``Phi(h)`` live in two reused block buffers. Without ``keep``, ``gelu(h)``
-    overwrites ``h`` there, so no ``(rows, hidden)`` array is allocated; with it,
-    ``gelu(h)`` and ``gelu'(h)`` are written into the kept arrays' block rows. Either
-    way the same products run on the same blocks, so the output is the same bit for bit.
+    while its hidden values are in cache. A block's ``h`` lives in a reused block buffer,
+    and ``gelu(h)`` overwrites it there. ``Phi(h)`` goes into a second block buffer, or
+    with ``keep`` into the kept array's block rows, so the only ``(rows, hidden)`` array
+    is the kept one. Either way the same products run on the same blocks, so the output
+    is the same bit for bit.
     """
     w1, b1 = params[f"{prefix}.w1"], params[f"{prefix}.b1"]
     w2, b2 = params[f"{prefix}.w2"][:width], params[f"{prefix}.b2"][:width]
@@ -399,38 +404,59 @@ def _mlp(a: np.ndarray, params: ModelParams, prefix: str, width: int | None = No
     dtype = np.result_type(a, w1)
     step = max(ERF_BLOCK // hidden, 1)
     out = np.empty((rows, len(w2)), dtype=dtype)
-    saved = (np.empty((rows, hidden), dtype), np.empty((rows, hidden), dtype)) if keep else None
     h_block = np.empty((min(rows, 2 * step - 1), hidden), dtype)
-    cdf_block = np.empty_like(h_block)
+    cdf_all = np.empty((rows, hidden), dtype) if keep else None
+    cdf_block = None if keep else np.empty_like(h_block)
     for lo, hi in _row_blocks(rows, step):
         h = h_block[: hi - lo]
         np.matmul(a[lo:hi], w1.T, out=h)
         h += b1
-        cdf = normal_cdf(h, out=cdf_block[: hi - lo])
-        if keep:
-            gelu_grad(h, cdf, out=saved[1][lo:hi])
-        g = np.multiply(h, cdf, out=saved[0][lo:hi] if keep else h)
-        np.matmul(g, w2.T, out=out[lo:hi])
+        cdf = normal_cdf(h, out=cdf_all[lo:hi] if keep else cdf_block[: hi - lo])
+        np.matmul(np.multiply(h, cdf, out=h), w2.T, out=out[lo:hi])
     out += b2
-    return out, saved
+    return out, cdf_all
 
 
-def _mlp_backward(d, a, saved, params: ModelParams, prefix: str, grads: ModelParams):
+def _mlp_backward(d, a, cdf, params: ModelParams, prefix: str, grads: ModelParams):
     """Store :func:`_mlp`'s weight gradients for the gradient ``d`` of its first
     ``d.shape[1]`` outputs, the rows of later outputs being zero; return ``a``'s.
 
-    ``saved`` is the forward's ``(gelu(h), gelu'(h))``, only read: no GELU pass runs here."""
-    g, gp = saved
+    ``cdf`` is the forward's ``Phi(h)``, only read. The rows run in blocks of about
+    ``2 * ERF_BLOCK`` hidden values: each block recomputes its ``h`` (one product), then
+    ``gelu'(h)`` and ``gelu(h)`` from it and ``Phi(h)``, in two reused block buffers, so no
+    ``(rows, hidden)`` array is allocated. The weight gradients sum the blocks' products
+    in block order; ``a``'s gradient is written a block of rows at a time."""
+    w1, b1 = params[f"{prefix}.w1"], params[f"{prefix}.b1"]
     w2 = params[f"{prefix}.w2"][: d.shape[1]]
+    rows, hidden = len(a), len(w1)
+    step = max(2 * ERF_BLOCK // hidden, 1)
     grads[f"{prefix}.w2"] = np.zeros_like(params[f"{prefix}.w2"], d.dtype)
     grads[f"{prefix}.b2"] = np.zeros_like(params[f"{prefix}.b2"], d.dtype)
-    np.matmul(d.T, g, out=grads[f"{prefix}.w2"][: len(w2)])
     d.sum(axis=0, out=grads[f"{prefix}.b2"][: len(w2)])
-    dh = d @ w2
-    dh *= gp
-    grads[f"{prefix}.w1"] = dh.T @ a
-    grads[f"{prefix}.b1"] = dh.sum(axis=0)
-    return dh @ params[f"{prefix}.w1"]
+    grads[f"{prefix}.w1"] = np.empty_like(w1, d.dtype)
+    grads[f"{prefix}.b1"] = np.empty_like(b1, d.dtype)
+    totals = (grads[f"{prefix}.w2"][: len(w2)], grads[f"{prefix}.w1"], grads[f"{prefix}.b1"])
+    parts = tuple(np.empty_like(t) for t in totals)
+    da = np.empty((rows, a.shape[1]), d.dtype)
+    h_block = np.empty((min(rows, 2 * step - 1), hidden), d.dtype)
+    gp_block = np.empty_like(h_block)
+    for lo, hi in _row_blocks(rows, step):
+        dw2, dw1, db1 = totals if lo == 0 else parts  # the first block writes the totals
+        h = h_block[: hi - lo]
+        np.matmul(a[lo:hi], w1.T, out=h)
+        h += b1
+        gp = gelu_grad(h, cdf[lo:hi], out=gp_block[: hi - lo])
+        g = np.multiply(h, cdf[lo:hi], out=h)
+        np.matmul(d[lo:hi].T, g, out=dw2)
+        dh = np.matmul(d[lo:hi], w2, out=g)
+        dh *= gp
+        np.matmul(dh.T, a[lo:hi], out=dw1)
+        dh.sum(axis=0, out=db1)
+        np.matmul(dh, w1, out=da[lo:hi])
+        if lo:
+            for total, part in zip(totals, parts):
+                total += part
+    return da
 
 
 def _token_bottleneck(

@@ -361,13 +361,18 @@ GRAD_CASES = {
 
 class TestBackward:
     # dense input computes every position and has an input gradient; token windows (window 1,
-    # 3 slots of 4 features) compute the last layer and the head on live rows only
-    @pytest.mark.parametrize("form,head,depth,valid", [
-        pytest.param(form, head, depth, valid,
+    # 3 slots of 4 features) compute the last layer and the head on live rows only. The
+    # "-blocked" case runs 2-row forward and 5-row backward blocks at hidden 8: 24
+    # token-MLP rows as 5+5+5+9 and 18 channel-MLP rows as 5+5+8 in backward
+    @pytest.mark.parametrize("form,head,depth,valid,erf_block", [
+        pytest.param(form, head, depth, valid, ERF_BLOCK,
                      id=f"{form}-{head}-{depth}" + ("" if 6 in valid else "-short"))
         for form in ("dense", "token") for valid in GRAD_CASES for head in ("token", "pooled")
-        for depth in (0, 1, 2)])
-    def test_gradients_match_finite_differences(self, form, head, depth, valid, rng):
+        for depth in (0, 1, 2)] + [
+        pytest.param("dense", "token", 2, (4, 2, 1), 20, id="dense-token-2-short-blocked")])
+    def test_gradients_match_finite_differences(self, form, head, depth, valid, erf_block, rng,
+                                                monkeypatch):
+        monkeypatch.setattr(mixer, "ERF_BLOCK", erf_block)
         cfg = small_cfg(head=head, depth=depth, num_labels=4)
         params = init_params(cfg, seed=21)
         if form == "dense":
@@ -699,17 +704,18 @@ class TestInference:
         assert none is None
         assert peak < full  # no such array existed at any point of the forward
         (recorded, record), held, _ = traced(True)
-        assert held >= 4 * full  # gelu(h) and gelu'(h) of both layers' token MLPs
-        assert record.layers[0].token_mlp[0].shape == (n * b, hidden)
+        assert held >= 2 * full  # Phi(h) of both layers' token MLPs
+        assert record.layers[0].token_mlp.shape == (n * b, hidden)
         assert bare.tobytes() == recorded.tobytes()
 
 
 class TestRecord:
-    """The recording forward keeps each MLP's ``gelu(h)`` and ``gelu'(h)``; backward reads them."""
+    """The recording forward keeps each MLP's ``Phi(h)``; backward reads it and recomputes
+    ``h`` in row blocks."""
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("head", ["token", "pooled"])
-    def test_mlp_pairs_are_gelu_and_its_derivative_bit_for_bit(self, head, dtype, rng):
+    def test_mlp_records_are_phi_bit_for_bit(self, head, dtype, rng):
         cfg = token_cfg(1, head)  # every MLP's rows fit in one block
         params = {k: p.astype(dtype) for k, p in init_params(cfg, seed=8).items()}
         for name in params:
@@ -727,22 +733,49 @@ class TestRecord:
                 assert len(a) * cfg.hidden <= ERF_BLOCK
                 h = a @ params[f"{prefix}.{mlp}.w1"].T
                 h += params[f"{prefix}.{mlp}.b1"]
-                cdf = normal_cdf(h)
-                g, gp = getattr(cache, mlp)
-                assert g.dtype == gp.dtype == dtype
-                assert g.tobytes() == (h * cdf).tobytes(), (k, mlp)
-                assert gp.tobytes() == gelu_grad(h, cdf).tobytes(), (k, mlp)
+                cdf = getattr(cache, mlp)
+                assert cdf.dtype == dtype
+                assert cdf.tobytes() == normal_cdf(h).tobytes(), (k, mlp)
 
-    def test_backward_allocates_under_two_full_hidden_arrays(self):
+    def test_backward_allocates_no_full_hidden_array(self):
         cfg, params, windows, valid, full = wide_case()
         logits, record = forward_batch(windows, valid, params, cfg)
         labels = np.random.default_rng(1).integers(0, cfg.num_labels,
                                                    size=(len(valid), cfg.seq_len))
         _, dlogits = cross_entropy_masked(logits, labels, head=cfg.head)
         (grads, _), _, peak = traced_memory(backward_batch, record, dlogits, params, cfg)
-        # a token MLP's dh; no gelu(h) or gelu'(h) is recomputed beside it
-        assert peak < 2 * full
+        # h, gelu(h), gelu'(h) and dh live in row-block buffers only
+        assert peak < full
         assert grads["mixer.0.token_mlp.w1"].dtype == np.float32
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    @pytest.mark.parametrize("form", ["dense", "token"])
+    @pytest.mark.parametrize("head", ["token", "pooled"])
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_blocked_backward_equals_one_block(self, depth, head, form, dtype, tol, rng,
+                                               monkeypatch):
+        windows, dense, valid = token_case(rng, 1, distinct=False, valid=(5, 6, 4, 2))
+        cfg = token_cfg(1, head, depth=depth)
+        params = {k: p.astype(dtype) for k, p in init_params(cfg, seed=8).items()}
+        for name in params:
+            params[name] = params[name] + dtype(0.1) * rng.standard_normal(
+                params[name].shape).astype(dtype)
+        inputs = windows if form == "token" else dense.astype(dtype)
+        logits, record = forward_batch(inputs, valid, params, cfg)
+        _, dlogits = cross_entropy_masked(logits, case_labels(head, valid), head=head)
+        one, _ = backward_batch(record, dlogits, params, cfg)
+        # hidden 8: 5-row blocks for 32 token-MLP rows, 24 channel-MLP rows and the last
+        # layer's 17 live rows, each run as 3 blocks or more with a longer last one
+        monkeypatch.setattr(mixer, "ERF_BLOCK", 20)
+        for rows in (32, 24, 17):
+            sizes = [hi - lo for lo, hi in _row_blocks(rows, 2 * mixer.ERF_BLOCK // cfg.hidden)]
+            assert len(sizes) >= 3 and sizes[-1] > sizes[0] == 5
+        blocked, _ = backward_batch(record, dlogits, params, cfg)
+        assert blocked.keys() == one.keys()
+        for name in one:
+            assert blocked[name].dtype == dtype
+            scale = np.abs(one[name]).max()
+            assert np.abs(blocked[name] - one[name]).max() <= tol * scale, name
 
 
 class TestFloat32Network:
