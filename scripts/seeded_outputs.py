@@ -14,8 +14,11 @@ model, quantizes it, and runs ``eval`` and ``predict`` with both model files.
 Each listing line is ``<sha256>  <run>/<output>``: ``model.bin``,
 ``model.q.bin``, ``labels.json``, ``config.json``, ``train_log.jsonl`` without
 its ``wallclock_seconds`` field, and the stdout of each ``eval`` and
-``predict`` call. Every command runs inside ``--out`` with relative paths, so
-the listing does not depend on where the trees are.
+``predict`` call. It also lists the ``build-cache`` output of the task's
+vocabulary (``data/cache.bin``) and, for each window, the ``project`` dump of
+the training set under the token run's config (``w<window>/features.bin``).
+Every command runs inside ``--out`` with relative paths, so the listing does
+not depend on where the trees are.
 
 Before the CLI runs, one process runs the network itself on a fixed tiny
 batch: ``forward_batch`` and ``backward_batch`` on dense and token-window
@@ -117,6 +120,15 @@ def main() -> None:
     with open(os.path.join(data, "val.jsonl"), encoding="utf-8") as fh:
         text = " ".join(json.loads(fh.readline())["tokens"])
 
+    cli = ("-m", "hashmixer.cli")
+
+    def file_digest(path: str) -> str:
+        with open(os.path.join(args.out, path), "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+
+    call(*cli, "build-cache", "--vocab", "data/vocab.txt", "--hashes", "16",
+         "-o", "data/cache.bin", "--quiet")
+    print(f"{file_digest('data/cache.bin')}  data/cache.bin")
     for window in (0, 1):
         for head in ("token", "pooled"):
             run = f"w{window}-{head}"
@@ -131,7 +143,6 @@ def main() -> None:
             config_path = f"{run}.json"
             with open(os.path.join(args.out, config_path), "w", encoding="utf-8") as fh:
                 json.dump(config, fh)
-            cli = ("-m", "hashmixer.cli")
             call(*cli, "train", "--config", config_path, "--quiet")
             call(*cli, "quantize", "--model", f"{run}/model.bin", "-o", f"{run}/model.q.bin",
                  "--quiet")
@@ -151,6 +162,11 @@ def main() -> None:
                 outputs[f"predict {model}"] = call(*cli, "predict", *model_args, "--text", text)
             for name, blob in outputs.items():
                 print(f"{hashlib.sha256(blob).hexdigest()}  {run}/{name}")
+        # the training set's dense dump under the token run's config: 400 examples, several
+        # of its 64-example batches
+        call(*cli, "project", "--config", f"w{window}-token.json", "--input", "data/train.jsonl",
+             "-o", f"w{window}-features.bin", "--quiet")
+        print(f"{file_digest(f'w{window}-features.bin')}  w{window}/features.bin")
 
 
 if __name__ == "__main__":

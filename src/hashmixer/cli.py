@@ -87,16 +87,14 @@ def _cmd_project(args) -> int:
     cfg = build_run_config(args.config, args.preset)
     featurizer = _featurizer(cfg, args.config)
     examples = load_jsonl(args.input)
-    ids, valid = featurizer.encode([ex.tokens for ex in examples])
-    chunk = cfg.train.batch_size
 
     def matrices():
-        # one chunk of dense matrices at a time keeps memory flat in the corpus size
-        for lo in range(0, len(examples), chunk):
-            sel = slice(lo, lo + chunk)
-            inputs = featurizer.materialize(ids[sel], valid[sel], dtype=np.float32)
-            yield from (FeatureMatrix(data=x, valid_len=int(n)) for x, n in zip(inputs, valid[sel]))
-            del inputs  # freed before the next chunk is built
+        # one example's dense matrix at a time, so memory depends on neither the
+        # corpus size nor train.batch_size
+        for ex in examples:
+            ids, valid = featurizer.encode([ex.tokens])
+            yield FeatureMatrix(data=featurizer.materialize(ids, valid, dtype=np.float32)[0],
+                                valid_len=int(valid[0]))
 
     save_features(args.output, matrices())
     _emit(args, {"features": args.output, "examples": len(examples),

@@ -8,6 +8,7 @@ import stat
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -377,19 +378,25 @@ class TestTrainEvalPredictQuantize:
         assert dumped[0].valid_len == len(kept)
         assert np.allclose(dumped[0].data, ref, atol=1e-6)
 
-    def test_project_in_chunks_matches_one_shot_dump(self, workspace, tmp_path):
+    @pytest.mark.parametrize("batch_size", [1, 7, None])
+    def test_streamed_project_matches_one_shot_dump(self, workspace, tmp_path, batch_size):
         with open(workspace["config"], encoding="utf-8") as fh:
             config = json.load(fh)
-        config["train"]["batch_size"] = 7  # several chunks, the last one partial
-        config_path = tmp_path / "chunked.json"
+        # window 1: the neighbour slots of each example's first and last column
+        # must not see the examples beside it in the file
+        config["projection"]["window"] = 1
+        if batch_size is None:
+            del config["train"]["batch_size"]  # TrainConfig's default, 256
+        else:
+            config["train"]["batch_size"] = batch_size
+        config_path = tmp_path / "run.json"
         config_path.write_text(json.dumps(config), encoding="utf-8")
-        out = str(tmp_path / "chunked.bin")
+        out = str(tmp_path / "streamed.bin")
         val = workspace["paths"]["val"]
         assert run(["project", "--config", str(config_path), "--input", val,
                     "-o", out, "--quiet"]) == 0
 
         examples = load_jsonl(val)
-        assert len(examples) > 7 and len(examples) % 7
         featurizer = SequenceFeaturizer(load_vocab(workspace["paths"]["vocab"]),
                                         ProjectionConfig(**config["projection"]))
         ids, valid = featurizer.encode([ex.tokens for ex in examples])
@@ -397,6 +404,39 @@ class TestTrainEvalPredictQuantize:
         ref = str(tmp_path / "one_shot.bin")
         save_features(ref, [FeatureMatrix(data=x, valid_len=int(n)) for x, n in zip(inputs, valid)])
         assert _sha(out) == _sha(ref)
+
+    def test_project_memory_is_flat_in_the_example_count(self, tmp_path):
+        # base geometry: one example's dense matrix is 3 * 1024 rows x 64 columns of
+        # float32, 768 KiB, so a 64-example chunk would be 48 MiB
+        rng = np.random.default_rng(0)
+        words = [f"w{k}" for k in range(40)]  # few distinct tokens: the token table stays small
+        (tmp_path / "vocab.txt").write_text("\n".join(["[UNK]", *words]) + "\n", encoding="utf-8")
+        config = {"projection": {"kind": "minhash", "n_hashes": 64, "feature_size": 1024,
+                                 "window": 1, "max_seq_len": 64},
+                  "train": {"batch_size": 64},
+                  "paths": {"vocab": str(tmp_path / "vocab.txt")}}
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+
+        def peak(n_examples):
+            data = tmp_path / f"{n_examples}.jsonl"
+            with open(data, "w", encoding="utf-8") as fh:
+                for _ in range(n_examples):
+                    tokens = list(rng.choice(words, size=int(rng.integers(8, 65))))
+                    fh.write(json.dumps({"tokens": tokens, "slots": ["O"] * len(tokens)}) + "\n")
+            argv = ["project", "--config", str(config_path), "--input", str(data),
+                    "-o", str(tmp_path / f"{n_examples}.bin"), "--quiet"]
+            tracemalloc.start()
+            try:
+                assert run(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(16), peak(64)
+        assert abs(large - small) < 2**20
+        # measured 2.2-2.3 MiB: the 1 MiB token table, one example and its gather
+        assert large < 4 * 2**20
 
     def test_predict_rejects_malformed_model_file(self, trained, workspace, tmp_path, capsys):
         blob = open(os.path.join(trained, "model.bin"), "rb").read()
